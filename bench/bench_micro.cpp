@@ -9,9 +9,9 @@
  *
  * The Packed/Reference benchmark pairs measure the bit-sliced engine
  * against the preserved row-major seed implementation on identical gate
- * and Pauli streams; the ...Batch / ...Threaded variants record the
- * batched conjugation kernel and the worker-pool paths against their
- * scalar/sequential counterparts. CI records them as JSON via
+ * and Pauli streams; the ...Batch variants record the batched
+ * conjugation kernel against its scalar counterpart. CI records them
+ * as JSON via
  *   bench_micro \
  *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|Absorb' \
  *     --benchmark_out=BENCH_tableau.json --benchmark_out_format=json
@@ -37,7 +37,6 @@
 #include "tableau/stabilizer_simulator.hpp"
 #include "util/rng.hpp"
 #include "util/simd_dispatch.hpp"
-#include "util/worker_pool.hpp"
 
 namespace {
 
@@ -192,33 +191,6 @@ BENCHMARK(BM_PackedTableauConjugateBatch)
     ->Args({ 128, 256 })
     ->Args({ 256, 64 });
 
-/** Batched conjugation fanned over a worker pool ({qubits, batch}). */
-void
-BM_PackedTableauConjugateBatchThreaded(benchmark::State &state)
-{
-    const uint32_t n = static_cast<uint32_t>(state.range(0));
-    const size_t batch = static_cast<size_t>(state.range(1));
-    Rng rng(2);
-    PackedTableau t(n);
-    scrambleTableau(t, n, 2);
-    std::vector<PauliString> inputs;
-    for (size_t i = 0; i < batch; ++i)
-        inputs.push_back(randomPauli(n, rng));
-    WorkerPool pool(0); // hardware concurrency
-    std::vector<PauliString> work = inputs;
-    for (auto _ : state) {
-        for (size_t i = 0; i < batch; ++i)
-            work[i] = inputs[i];
-        t.conjugateBatch(work, &pool);
-        benchmark::DoNotOptimize(work.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_PackedTableauConjugateBatchThreaded)
-    ->Args({ 128, 256 })
-    ->Args({ 256, 64 });
-
 /**
  * The extraction-shaped kernel behind the acceptance criterion: per
  * iteration, one rotation's worth of tableau work — a basis-layer +
@@ -288,7 +260,7 @@ BM_CliffordExtraction(benchmark::State &state)
     const size_t m = static_cast<size_t>(state.range(1));
     const auto terms = randomTerms(n, m, 4);
     ExtractionConfig config;
-    config.threads = 1; // sequential baseline for the Threaded variant
+    config.threads = 1;
     const CliffordExtractor extractor(config);
     for (auto _ : state)
         benchmark::DoNotOptimize(extractor.run(terms));
@@ -302,35 +274,11 @@ BENCHMARK(BM_CliffordExtraction)
     ->Args({ 128, 256 });
 
 /**
- * Full extraction through the worker pool (threads = hardware
- * concurrency): batch block entry, parallel conjugation-cache replay,
- * threaded lookahead. Output is bit-identical to BM_CliffordExtraction
- * on the same args; only the wall clock may differ.
- */
-void
-BM_CliffordExtractionThreaded(benchmark::State &state)
-{
-    const uint32_t n = static_cast<uint32_t>(state.range(0));
-    const size_t m = static_cast<size_t>(state.range(1));
-    const auto terms = randomTerms(n, m, 4);
-    ExtractionConfig config;
-    config.threads = 0; // hardware concurrency
-    const CliffordExtractor extractor(config);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(extractor.run(terms));
-    state.SetItemsProcessed(state.iterations() * m);
-}
-BENCHMARK(BM_CliffordExtractionThreaded)
-    ->Args({ 64, 256 })
-    ->Args({ 128, 256 });
-
-/**
  * End-to-end extraction on the paper-scale fragmented ensemble
  * UCC-(6,12)x8 (96 qubits, 8 independent 12-qubit chains), sweeping
  * {threads, block_parallelism}. The /T/B suffixes are the two knobs:
- * /1/1 is the fully sequential baseline, /8/1 is in-block parallelism
- * only, /8/0 adds cross-block chain parallelism (the tentpole's
- * acceptance bar: >= 2x end-to-end over /8/1 at 8 threads). Output is
+ * /1/1 is the fully sequential baseline, /8/2 caps the chain runners
+ * at two, and /T/0 runs up to T chains at once. Output is
  * bit-identical across every arg pair; only wall time moves.
  */
 void
@@ -353,9 +301,7 @@ BM_CrossBlockExtraction(benchmark::State &state)
 }
 BENCHMARK(BM_CrossBlockExtraction)
     ->Args({ 1, 1 })
-    ->Args({ 4, 1 })
     ->Args({ 4, 0 })
-    ->Args({ 8, 1 })
     ->Args({ 8, 2 })
     ->Args({ 8, 0 })
     ->Unit(benchmark::kMillisecond)
@@ -406,24 +352,6 @@ BM_AbsorbObservables(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * k);
 }
 BENCHMARK(BM_AbsorbObservables)->Arg(10)->Arg(100)->Arg(1000);
-
-/** Multi-observable absorption over the worker pool. */
-void
-BM_AbsorbObservablesThreaded(benchmark::State &state)
-{
-    const uint32_t n = 20;
-    const size_t k = static_cast<size_t>(state.range(0));
-    const auto terms = randomTerms(n, 128, 5);
-    const ExtractionResult ext = CliffordExtractor().run(terms);
-    Rng rng(6);
-    std::vector<PauliString> observables;
-    for (size_t i = 0; i < k; ++i)
-        observables.push_back(randomPauli(n, rng));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(absorbObservables(ext, observables, 0));
-    state.SetItemsProcessed(state.iterations() * k);
-}
-BENCHMARK(BM_AbsorbObservablesThreaded)->Arg(100)->Arg(1000);
 
 void
 BM_RemapBitstrings(benchmark::State &state)

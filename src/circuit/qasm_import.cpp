@@ -35,9 +35,33 @@ trim(const std::string &s)
 }
 
 /**
+ * True iff the '+'/'-' at @p i is the sign of an exponent: it directly
+ * follows an 'e'/'E' that ends a numeric mantissa such as `2.08e` (so
+ * `2.08e-05` stays one literal instead of splitting into `2.08e` minus
+ * `05`).
+ */
+bool
+isExponentSign(const std::string &expr, size_t i)
+{
+    if (i < 2 || (expr[i - 1] != 'e' && expr[i - 1] != 'E'))
+        return false;
+    size_t start = i - 1;
+    while (start > 0 &&
+           (std::isdigit(static_cast<unsigned char>(expr[start - 1])) ||
+            expr[start - 1] == '.'))
+        --start;
+    if (start == i - 1)
+        return false; // no mantissa digits before the 'e'
+    return start == 0 ||
+           !(std::isalnum(static_cast<unsigned char>(expr[start - 1])) ||
+             expr[start - 1] == '_');
+}
+
+/**
  * Evaluate a restricted angle expression: products/quotients of `pi`
- * and numeric literals with optional leading sign, plus binary +/- at
- * the top level. Covers everything Qiskit-style exporters emit.
+ * and numeric literals (exponent form included) with optional leading
+ * sign, plus binary +/- at the top level. Covers everything
+ * Qiskit-style exporters and toQasm emit.
  */
 double
 evalAngle(const std::string &expr_in)
@@ -57,8 +81,9 @@ evalAngle(const std::string &expr_in)
             --depth;
         else if (depth == 0 && (c == '+' || c == '-')) {
             const char prev = expr[i - 1];
-            if (prev == '*' || prev == '/' || prev == '+' || prev == '-')
-                continue; // sign of the next factor
+            if (prev == '*' || prev == '/' || prev == '+' || prev == '-' ||
+                isExponentSign(expr, i))
+                continue; // sign of the next factor or of an exponent
             const double lhs = evalAngle(expr.substr(0, i));
             const double rhs = evalAngle(expr.substr(i + 1));
             return c == '+' ? lhs + rhs : lhs - rhs;
@@ -207,6 +232,8 @@ fromQasm(const std::string &source)
             if (close == std::string::npos)
                 fail("unterminated parameter list in '" + stmt + "'");
             angle = evalAngle(rest.substr(1, close - 1));
+            if (!std::isfinite(angle))
+                fail("non-finite angle in '" + stmt + "'");
             has_angle = true;
             rest = trim(rest.substr(close + 1));
         }
@@ -231,6 +258,9 @@ fromQasm(const std::string &source)
                    it2 != two_qubit.end()) {
             if (has_angle || qubits.size() != 2)
                 fail("gate '" + name + "' takes exactly 2 qubits");
+            if (qubits[0] == qubits[1])
+                fail("gate '" + name + "' repeats qubit operand in '" +
+                     stmt + "'");
             qc.append(Gate(it2->second, qubits[0], qubits[1]));
         } else {
             fail("unsupported gate '" + name + "'");

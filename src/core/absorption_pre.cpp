@@ -5,54 +5,45 @@
 #include <utility>
 #include <vector>
 
-#include "util/worker_pool.hpp"
-
 namespace quclear {
 
 std::vector<AbsorbedObservable>
 absorbObservables(const ExtractionResult &extraction,
-                  const std::vector<PauliString> &observables,
-                  uint32_t threads)
+                  const std::vector<PauliString> &observables)
 {
     const uint32_t n = extraction.optimized.numQubits();
-    WorkerPool pool(threads);
-    WorkerPool *const pool_ptr = pool.threadCount() > 1 ? &pool : nullptr;
 
     // O' = U_CL~ O U_CL = E O E~, which is exactly the conjugator
     // tableau's map (U_CL = E~); one batch conjugation transposes the
     // tableau once for all k observables.
     std::vector<PauliString> transformed(observables);
-    extraction.conjugator.conjugateBatch(transformed, pool_ptr);
+    extraction.conjugator.conjugateBatch(transformed);
 
-    // Each observable's basis change and measured-qubit list is built
-    // independently into its own slot.
     std::vector<AbsorbedObservable> absorbed(observables.size());
-    pool.parallelFor(observables.size(), [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-            AbsorbedObservable &a = absorbed[i];
-            a.original = observables[i];
-            a.transformed = std::move(transformed[i]);
-            a.sign = a.transformed.sign();
+    for (size_t i = 0; i < observables.size(); ++i) {
+        AbsorbedObservable &a = absorbed[i];
+        a.original = observables[i];
+        a.transformed = std::move(transformed[i]);
+        a.sign = a.transformed.sign();
 
-            a.basisChange = QuantumCircuit(n);
-            // Word-level support walk: identity columns are skipped 64
-            // at a time instead of probing every qubit.
-            a.transformed.forEachSupport([&](uint32_t q, PauliOp op) {
-                switch (op) {
-                  case PauliOp::X:
-                    a.basisChange.h(q);
-                    break;
-                  case PauliOp::Y:
-                    a.basisChange.sdg(q);
-                    a.basisChange.h(q);
-                    break;
-                  default:
-                    break;
-                }
-                a.measuredQubits.push_back(q);
-            });
-        }
-    });
+        a.basisChange = QuantumCircuit(n);
+        // Word-level support walk: identity columns are skipped 64 at a
+        // time instead of probing every qubit.
+        a.transformed.forEachSupport([&](uint32_t q, PauliOp op) {
+            switch (op) {
+              case PauliOp::X:
+                a.basisChange.h(q);
+                break;
+              case PauliOp::Y:
+                a.basisChange.sdg(q);
+                a.basisChange.h(q);
+                break;
+              default:
+                break;
+            }
+            a.measuredQubits.push_back(q);
+        });
+    }
     return absorbed;
 }
 

@@ -60,16 +60,12 @@ struct ProbabilityAbsorption
 /**
  * Absorb the extracted Clifford into a set of Pauli observables.
  * The conjugations run as one batch through the conjugator tableau
- * (the tableau transpose is built once for all k observables) and the
- * independent per-observable work fans out over @p threads workers
- * (0 = hardware concurrency, 1 = sequential); the result is identical
- * for every thread count. Runtime O(k n^2 / 64) for k observables
- * (Sec. VI-A).
+ * (the tableau transpose is built once for all k observables).
+ * Runtime O(k n^2 / 64) for k observables (Sec. VI-A).
  */
 std::vector<AbsorbedObservable>
 absorbObservables(const ExtractionResult &extraction,
-                  const std::vector<PauliString> &observables,
-                  uint32_t threads = 1);
+                  const std::vector<PauliString> &observables);
 
 /**
  * Full measurement circuit for one absorbed observable: the optimized

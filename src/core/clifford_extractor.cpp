@@ -16,13 +16,6 @@ namespace quclear {
 
 namespace {
 
-/**
- * Pending-entry count below which the conjugation-cache replay stays
- * inline: a gate replay is O(n/64) word ops per entry, so tiny blocks
- * would pay more in pool dispatch than in work.
- */
-constexpr size_t kParallelPendingThreshold = 8;
-
 /** Union-find over qubit indices (path halving + union by index). */
 class QubitUnionFind
 {
@@ -216,19 +209,15 @@ struct BlockOutput
  *
  * Thread safety: writes only @p acc (this chain's fork) and the output
  * slots of this chain's own sub-blocks — disjoint from every other
- * chain — and reads only the shared immutable inputs. @p pool_ptr is
- * non-null only when chains run sequentially (the parallel driver
- * passes null so the in-block loops stay inline on the runner).
+ * chain — and reads only the shared immutable inputs.
  */
 void
 extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
              const ExtractionConfig &config, uint32_t n,
-             CliffordTableau &acc, std::vector<BlockOutput> &outputs,
-             WorkerPool *pool_ptr)
+             CliffordTableau &acc, std::vector<BlockOutput> &outputs)
 {
     std::vector<PauliString> conj;    // cache, indexed by block position
     std::vector<uint32_t> order_next; // singly-linked successor list
-    std::vector<uint32_t> pending;    // reusable replay index scratch
     std::vector<uint32_t> support;    // reusable support scratch
     PauliString cand_scratch;         // reusable cost-model buffer
     SupportIndex curr_support;        // reusable occupancy index of curr
@@ -243,7 +232,7 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
         conj.reserve(m);
         for (size_t idx : sub.terms)
             conj.push_back(terms[idx].pauli);
-        acc.conjugateBatch(conj, pool_ptr);
+        acc.conjugateBatch(conj);
 
         // Index-list order over block positions: reordering a pick is an
         // O(1) unlink + relink instead of the old vector erase/insert
@@ -253,26 +242,11 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
             order_next[i] = i + 1;
 
         // Replay a committed gate burst onto the pending cache entries
-        // (the current term plus everything still queued after it),
-        // across the pool when the pending set is wide enough.
+        // (the current term plus everything still queued after it).
         auto updatePending = [&](uint32_t from_pos, const QuantumCircuit &qc) {
-            if (qc.empty())
-                return;
-            pending.clear();
             for (uint32_t j = from_pos; j != m; j = order_next[j])
-                pending.push_back(j);
-            const auto replay = [&](size_t begin, size_t end) {
-                for (size_t k = begin; k < end; ++k) {
-                    PauliString &entry = conj[pending[k]];
-                    for (const Gate &g : qc.gates())
-                        applyGateToPauli(entry, g);
-                }
-            };
-            if (pool_ptr != nullptr &&
-                pending.size() >= kParallelPendingThreshold)
-                pool_ptr->parallelFor(pending.size(), replay);
-            else
-                replay(0, pending.size());
+                for (const Gate &g : qc.gates())
+                    applyGateToPauli(conj[j], g);
         };
 
         for (uint32_t pos = 0; pos != m; pos = order_next[pos]) {
@@ -358,13 +332,12 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
             }
             if (lookahead.size() > lookahead_cached)
                 acc.conjugateBatch(
-                    std::span(lookahead).subspan(lookahead_cached),
-                    pool_ptr);
+                    std::span(lookahead).subspan(lookahead_cached));
 
             // --- CNOT tree (Algorithm 1). ---
             QuantumCircuit tree(n);
             TreeSynthesizer synth(acc, tree, std::move(lookahead),
-                                  config.tree, pool_ptr);
+                                  config.tree);
             const uint32_t root = synth.synthesize(support);
             out.gates.appendCircuit(tree);
             vj.appendCircuit(tree);
@@ -417,16 +390,12 @@ CliffordExtractor::run(const std::vector<PauliTerm> &terms) const
     // find_next_pauli and the rotation-root recheck — the old quadratic
     // O(m^2 . n . w) per block becomes O(m . n . w / 64 + gates . m).
     //
-    // Two levels of parallelism share one pool. FINE (in-block): batch
-    // conjugation, cache replay, and lookahead updates fan block
-    // entries over the workers. COARSE (cross-block): the chains from
-    // partitionChains() are compiled concurrently, each against its
-    // own tableau fork, and merged below. Both levels leave the output
-    // bit-identical to the sequential path — the fine loops write
-    // disjoint slots, and the chains are independent by construction.
-    WorkerPool pool(config_.threads);
-    WorkerPool *const pool_ptr = pool.threadCount() > 1 ? &pool : nullptr;
-
+    // The only parallelism is across chains: the chains from
+    // partitionChains() compile concurrently, each against its own
+    // tableau fork, and merge below. Within a block everything runs
+    // inline — batch conjugation, cache replay, and lookahead updates
+    // are too fine-grained for a pool dispatch to pay (each measured
+    // slower than sequential on a 4-core host).
     const ChainPartition part = partitionChains(terms, blocks, n);
     std::vector<BlockOutput> outputs(part.subBlockCount);
     std::vector<CliffordTableau> chain_accs;
@@ -435,51 +404,43 @@ CliffordExtractor::run(const std::vector<PauliTerm> &terms) const
         chain_accs.emplace_back(n);
 
     // Chain runners: blockParallelism = 0 means every chain in flight
-    // at once (auto), 1 means strictly sequential, N caps the runners.
-    // The runner count never changes any chain's input, so the knob —
-    // like `threads` — only moves wall time.
+    // at once (auto), 1 means strictly sequential, N caps the runners;
+    // `threads` caps them too. The runner count never changes any
+    // chain's input, so both knobs only move wall time.
     const size_t bp = config_.blockParallelism == 0
                           ? part.chains.size()
                           : static_cast<size_t>(config_.blockParallelism);
+    const size_t threads = WorkerPool::resolveThreadCount(config_.threads);
     const size_t runners =
-        std::min({ std::max<size_t>(part.chains.size(), 1), bp,
-                   static_cast<size_t>(pool.threadCount()) });
+        std::min({ std::max<size_t>(part.chains.size(), 1), bp, threads });
 
-    if (runners <= 1) {
-        // Sequential chains keep the pool on the fine level, so a
-        // single-chain (connected) instance is the exact pre-chain
-        // code path, intra-block parallelism included.
-        for (size_t c = 0; c < part.chains.size(); ++c)
+    // Claim chains off a shared counter so long chains do not stall
+    // short ones behind a static partition. The owner thread is runner
+    // zero; the others are submitted tasks drained below. With one
+    // runner nothing is submitted and the owner compiles every chain
+    // inline, in order.
+    WorkerPool pool(static_cast<uint32_t>(runners));
+    std::atomic<size_t> next{ 0 };
+    const auto runner = [&] {
+        for (;;) {
+            const size_t c = next.fetch_add(1, std::memory_order_relaxed);
+            if (c >= part.chains.size())
+                return;
             extractChain(terms, part.chains[c], config_, n, chain_accs[c],
-                         outputs, pool_ptr);
-    } else {
-        // Claim chains off a shared counter so long chains do not
-        // stall short ones behind a static partition. The runners get
-        // a null pool: the fine loops run inline, the coarse level
-        // owns the workers. The owner thread is runner zero; the
-        // others are submitted tasks drained below.
-        std::atomic<size_t> next{ 0 };
-        const auto runner = [&] {
-            for (;;) {
-                const size_t c = next.fetch_add(1, std::memory_order_relaxed);
-                if (c >= part.chains.size())
-                    return;
-                extractChain(terms, part.chains[c], config_, n,
-                             chain_accs[c], outputs, nullptr);
-            }
-        };
-        for (size_t r = 1; r < runners; ++r)
-            pool.submit(runner);
-        std::exception_ptr owner_error;
-        try {
-            runner();
-        } catch (...) {
-            owner_error = std::current_exception();
+                         outputs);
         }
-        pool.drainTasks(); // rethrows the first worker error, if any
-        if (owner_error)
-            std::rethrow_exception(owner_error);
+    };
+    for (size_t r = 1; r < runners; ++r)
+        pool.submit(runner);
+    std::exception_ptr owner_error;
+    try {
+        runner();
+    } catch (...) {
+        owner_error = std::current_exception();
     }
+    pool.drainTasks(); // rethrows the first worker error, if any
+    if (owner_error)
+        std::rethrow_exception(owner_error);
 
     // --- Stitch. Sub-block segments in the partition's emission order
     // rebuild U' and the rotation schedule; the vlist in the same

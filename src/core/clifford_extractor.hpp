@@ -59,24 +59,21 @@ struct ExtractionConfig
     bool useCommutingBlocks = true;
 
     /**
-     * Worker threads for the data-parallel paths: block-entry batch
-     * conjugation, the conjugation-cache replay across pending block
-     * entries, tree-synthesis lookahead updates, and (through QuClear)
-     * multi-observable absorption. 0 = hardware concurrency (the
+     * Size of the chain-runner pool: at most this many chains (see
+     * blockParallelism) compile concurrently. Everything inside a
+     * block runs on its chain's runner. 0 = hardware concurrency (the
      * default), 1 = fully sequential (no workers are spawned — the
-     * exact single-threaded code path). Determinism guarantee: every
-     * parallel loop writes disjoint slots and accumulates nothing
-     * across items, so the compiled circuit, Clifford tail, conjugator
-     * tableau, and rotation order are bit-identical for every value of
-     * this knob (asserted by test_conjugate_batch and
-     * test_scale_extraction).
+     * exact single-threaded code path). A connected instance is one
+     * chain, so only fragmented programs gain from more threads. The
+     * compiled circuit, Clifford tail, conjugator tableau, and
+     * rotation order are bit-identical for every value of this knob
+     * (asserted by test_conjugate_batch and test_scale_extraction).
      */
     uint32_t threads = 0;
 
     /**
-     * Maximum number of independent block chains compiled concurrently
-     * (the coarse, cross-block level of parallelism; `threads` feeds
-     * the fine, in-block level). 0 = auto (every chain in flight at
+     * Maximum number of independent block chains compiled concurrently,
+     * further capped by `threads`. 0 = auto (every chain in flight at
      * once, bounded by the pool), 1 = chains compiled sequentially,
      * N = at most N chain runners. Chains are connected components of
      * the qubit-support graph, so their extractions are independent by

@@ -133,8 +133,7 @@ std::vector<AbsorbedObservable>
 QuClear::absorbObservables(const CompiledProgram &program,
                            const std::vector<PauliString> &observables) const
 {
-    return quclear::absorbObservables(program.extraction, observables,
-                                      options_.extraction.threads);
+    return quclear::absorbObservables(program.extraction, observables);
 }
 
 ProbabilityAbsorption

@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/worker_pool.hpp"
-
 namespace quclear {
 
 namespace {
@@ -37,10 +35,9 @@ cxWeightDelta(const PauliString &p, uint32_t control, uint32_t target)
 
 TreeSynthesizer::TreeSynthesizer(CliffordTableau &acc, QuantumCircuit &tree,
                                  std::vector<PauliString> lookahead,
-                                 const TreeSynthesisConfig &config,
-                                 WorkerPool *pool)
+                                 const TreeSynthesisConfig &config)
     : acc_(acc), tree_(tree), lookahead_(std::move(lookahead)),
-      config_(config), pool_(pool)
+      config_(config)
 {
 }
 
@@ -60,21 +57,8 @@ TreeSynthesizer::emitCx(uint32_t control, uint32_t target)
 {
     tree_.cx(control, target);
     acc_.appendCX(control, target);
-    // Entries update independently, so fanning a wide window over the
-    // pool cannot change the emitted tree. applyCX is O(1) (~a dozen
-    // bit ops), so a pool dispatch (microseconds) only amortizes over
-    // thousands of entries — anything narrower stays inline.
-    constexpr size_t kParallelLookaheadThreshold = 4096;
-    if (pool_ != nullptr &&
-        lookahead_.size() >= kParallelLookaheadThreshold) {
-        pool_->parallelFor(lookahead_.size(), [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i)
-                lookahead_[i].applyCX(control, target);
-        });
-    } else {
-        for (PauliString &p : lookahead_)
-            p.applyCX(control, target);
-    }
+    for (PauliString &p : lookahead_)
+        p.applyCX(control, target);
 }
 
 uint32_t

@@ -23,8 +23,6 @@
 
 namespace quclear {
 
-class WorkerPool;
-
 /**
  * Options controlling Algorithm 1 (exposed for the Fig. 10 ablation
  * and bench_ablation). Deterministic: tree choice is a pure function
@@ -94,15 +92,10 @@ class TreeSynthesizer
      *        one), already conjugated through @p acc; the synthesizer
      *        takes ownership and updates them per emitted CNOT
      * @param config algorithm options
-     * @param pool optional worker pool: wide lookahead windows are kept
-     *        current in parallel per emitted CNOT (entries update
-     *        independently, so the emitted tree is thread-count
-     *        invariant); small windows always update inline
      */
     TreeSynthesizer(CliffordTableau &acc, QuantumCircuit &tree,
                     std::vector<PauliString> lookahead,
-                    const TreeSynthesisConfig &config,
-                    WorkerPool *pool = nullptr);
+                    const TreeSynthesisConfig &config);
 
     /**
      * Build the tree over the given qubits (the current Pauli's support).
@@ -127,7 +120,6 @@ class TreeSynthesizer
     /** Pre-conjugated lookahead, updated in place on every emitCx. */
     std::vector<PauliString> lookahead_;
     TreeSynthesisConfig config_;
-    WorkerPool *pool_;
 };
 
 /**

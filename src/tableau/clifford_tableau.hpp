@@ -92,14 +92,12 @@ class CliffordTableau
 
     /**
      * Conjugate many Pauli strings in one pass, in place; amortizes the
-     * tableau transpose across the batch and optionally fans the terms
-     * out over a worker pool. Bit-identical to conjugate() per element
-     * for every thread count.
+     * tableau transpose across the batch. Bit-identical to conjugate()
+     * per element.
      */
-    void conjugateBatch(std::span<PauliString> terms,
-                        WorkerPool *pool = nullptr) const
+    void conjugateBatch(std::span<PauliString> terms) const
     {
-        impl_.conjugateBatch(terms, pool);
+        impl_.conjugateBatch(terms);
     }
 
     /** True iff this tableau is the identity map (all signs +). */

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "util/simd_dispatch.hpp"
-#include "util/worker_pool.hpp"
 
 namespace quclear {
 
@@ -541,8 +540,7 @@ PackedTableau::conjugateViaRows(const RowMajor &rm, PauliString &p,
 }
 
 void
-PackedTableau::conjugateBatch(std::span<PauliString> terms,
-                              WorkerPool *pool) const
+PackedTableau::conjugateBatch(std::span<PauliString> terms) const
 {
     // Below this size the transpose cannot amortize (its fixed cost is
     // roughly two scalar dense conjugations), so tiny batches take the
@@ -558,29 +556,19 @@ PackedTableau::conjugateBatch(std::span<PauliString> terms,
 
     const uint32_t rw = rm.rowWords;
     const uint32_t rw_pad = rm.rowWordsPadded;
-    const auto run = [&](size_t begin, size_t end) {
-        // Per-worker scratch: mask + kernel accumulators + result
-        // halves. The mask array is deliberately left dirty between
-        // terms — the support index tracks which words are live.
-        std::vector<uint64_t> scratch(
-            static_cast<size_t>(words_) + 3 * static_cast<size_t>(rw_pad) +
-            2 * static_cast<size_t>(rw));
-        SupportIndex idx;
-        uint64_t *mask = scratch.data();
-        uint64_t *kscratch = mask + words_;
-        uint64_t *out_x = kscratch + 3 * static_cast<size_t>(rw_pad);
-        uint64_t *out_z = out_x + rw;
-        for (size_t i = begin; i < end; ++i)
-            conjugateViaRows(rm, terms[i], mask, idx, kscratch, out_x,
-                             out_z);
-    };
-    // Below this size the per-term row walks are cheaper than a pool
-    // dispatch (and would needlessly spawn the lazy workers).
-    constexpr size_t kMinBatchForPool = 16;
-    if (pool != nullptr && terms.size() >= kMinBatchForPool)
-        pool->parallelFor(terms.size(), run);
-    else
-        run(0, terms.size());
+    // Scratch: mask + kernel accumulators + result halves. The mask
+    // array is deliberately left dirty between terms — the support
+    // index tracks which words are live.
+    std::vector<uint64_t> scratch(static_cast<size_t>(words_) +
+                                  3 * static_cast<size_t>(rw_pad) +
+                                  2 * static_cast<size_t>(rw));
+    SupportIndex idx;
+    uint64_t *mask = scratch.data();
+    uint64_t *kscratch = mask + words_;
+    uint64_t *out_x = kscratch + 3 * static_cast<size_t>(rw_pad);
+    uint64_t *out_z = out_x + rw;
+    for (PauliString &term : terms)
+        conjugateViaRows(rm, term, mask, idx, kscratch, out_x, out_z);
 }
 
 void

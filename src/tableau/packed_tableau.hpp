@@ -49,8 +49,6 @@
 
 namespace quclear {
 
-class WorkerPool;
-
 /** Column-major unitary Clifford tableau over n qubits. */
 class PackedTableau
 {
@@ -107,13 +105,8 @@ class PackedTableau
      * snapshot, so the per-column loads that dominate a lone dense
      * conjugate are amortized across the whole batch. Results are
      * bit-identical (phases included) to calling conjugate() per term.
-     *
-     * When @p pool is non-null the terms are distributed over its
-     * worker threads; each term's result is computed independently, so
-     * the output does not depend on the thread count.
      */
-    void conjugateBatch(std::span<PauliString> terms,
-                        WorkerPool *pool = nullptr) const;
+    void conjugateBatch(std::span<PauliString> terms) const;
 
     /**
      * True iff this tableau is the identity map (all signs +).

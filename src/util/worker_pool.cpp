@@ -6,8 +6,8 @@ namespace {
 
 /**
  * The pool whose workerMain is running on this thread, if any. Lets
- * parallelFor/submit detect same-pool re-entry (a chain task calling
- * the data-parallel kernels) and degrade to inline execution instead
+ * parallelFor/submit detect same-pool re-entry (a task dispatching
+ * onto the pool it runs on) and degrade to inline execution instead
  * of deadlocking on a fully occupied pool. Distinct pools stay
  * composable: a task running on pool A that owns a private pool B
  * still dispatches to B normally (the serve-mode layering).

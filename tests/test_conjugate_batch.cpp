@@ -1,15 +1,13 @@
 /**
  * @file
- * Tests for the batched conjugation kernel and the thread-parallel
- * compilation paths built on it.
+ * Tests for the batched conjugation kernel, the worker pool, and the
+ * extractor's chain-parallel compilation.
  *
  * conjugateBatch transposes the bit-sliced tableau to a row-major
  * snapshot once and multiplies each term's selected rows out of it; it
  * must stay bit-identical — phases included — to both the scalar
  * conjugate() and the row-major ReferenceTableau at qubit counts
- * straddling the 64-bit word boundaries, for every thread count. On
- * top of the kernel, the extractor's threaded paths (block-entry batch
- * conjugation, cache replay, lookahead updates, absorption) and the
+ * straddling the 64-bit word boundaries. On top of the kernel, the
  * cross-block chain pipeline (fork-per-chain tableaus merged through
  * composeWith) must produce output bit-identical to the sequential
  * threads = 1, blockParallelism = 1 path for every knob combination.
@@ -20,7 +18,6 @@
 #include <vector>
 
 #include "benchgen/suite.hpp"
-#include "core/absorption_pre.hpp"
 #include "core/clifford_extractor.hpp"
 #include "tableau/clifford_tableau.hpp"
 #include "tableau/packed_tableau.hpp"
@@ -69,33 +66,6 @@ TEST(ConjugateBatchTest, MatchesScalarAndReferenceAcrossWordBoundaries)
                 << inputs[i].toLabel();
             ASSERT_EQ(batch[i], want_scalar)
                 << "n=" << n << " term " << i;
-        }
-    }
-}
-
-TEST(ConjugateBatchTest, ThreadCountDoesNotChangeResults)
-{
-    for (uint32_t n : { 65u, 128u }) {
-        Rng rng(8000 + n);
-        CliffordTableau tab(n);
-        for (size_t i = 0; i < 4 * n; ++i)
-            tab.appendGate(randomCliffordGate(n, rng));
-
-        std::vector<PauliString> inputs;
-        for (int trial = 0; trial < 41; ++trial)
-            inputs.push_back(randomPhasedPauli(n, rng, trial % 2 ? 0.8 : 0.3));
-
-        std::vector<PauliString> sequential = inputs;
-        tab.conjugateBatch(sequential);
-
-        for (uint32_t threads : { 2u, 3u, 4u }) {
-            WorkerPool pool(threads);
-            std::vector<PauliString> parallel = inputs;
-            tab.conjugateBatch(parallel, &pool);
-            for (size_t i = 0; i < inputs.size(); ++i)
-                ASSERT_EQ(parallel[i], sequential[i])
-                    << "n=" << n << " threads=" << threads << " term "
-                    << i;
         }
     }
 }
@@ -313,34 +283,6 @@ TEST(BlockParallelExtractionTest, SingleChainUnaffectedByKnob)
         SCOPED_TRACE(::testing::Message() << "blockParallelism=" << bp);
         expectSameExtraction(CliffordExtractor(config).run(terms),
                              baseline);
-    }
-}
-
-TEST(ThreadedExtractionTest, AbsorptionThreadCountInvariant)
-{
-    Rng rng(271828);
-    const uint32_t n = 40;
-    const auto terms = randomSupportTerms(n, 48, 0.7, rng);
-    const ExtractionResult ext = CliffordExtractor().run(terms);
-
-    std::vector<PauliString> observables;
-    for (int k = 0; k < 37; ++k)
-        observables.push_back(randomPhasedPauli(n, rng, k % 2 ? 0.6 : 0.2));
-    for (PauliString &obs : observables)
-        obs.setPhase(0); // observables are Hermitian with + sign
-
-    const auto sequential = absorbObservables(ext, observables, 1);
-    for (uint32_t threads : { 2u, 4u }) {
-        const auto threaded = absorbObservables(ext, observables, threads);
-        ASSERT_EQ(threaded.size(), sequential.size());
-        for (size_t i = 0; i < sequential.size(); ++i) {
-            EXPECT_EQ(threaded[i].transformed, sequential[i].transformed);
-            EXPECT_EQ(threaded[i].sign, sequential[i].sign);
-            EXPECT_EQ(threaded[i].measuredQubits,
-                      sequential[i].measuredQubits);
-            expectSameCircuit(threaded[i].basisChange,
-                              sequential[i].basisChange);
-        }
     }
 }
 

@@ -53,6 +53,9 @@ TEST(QasmImportTest, RoundTripWithExporter)
               }
             }
         }
+        // Tiny angles print in exponent form (e.g. 2.08e-05).
+        qc.rz(static_cast<uint32_t>(trial % 4), 2.08e-05);
+        qc.ry(static_cast<uint32_t>(trial % 4), -3e-7);
         const QuantumCircuit back = fromQasm(toQasm(qc));
         ASSERT_EQ(back.size(), qc.size());
         for (size_t i = 0; i < qc.size(); ++i) {
@@ -74,14 +77,24 @@ TEST(QasmImportTest, PiExpressions)
         "rz(3*pi/4) q[0];\n"
         "rz(0.5) q[0];\n"
         "rz(pi) q[0];\n"
-        "rz(2*pi - pi/2) q[0];\n");
-    ASSERT_EQ(qc.size(), 6u);
+        "rz(2*pi - pi/2) q[0];\n"
+        "rz(2.08e-05) q[0];\n"
+        "rz(-3e-7) q[0];\n"
+        "rz(1.5E+2) q[0];\n"
+        "rz(2e-05*pi) q[0];\n"
+        "rz(1e-3 - 2e-3) q[0];\n");
+    ASSERT_EQ(qc.size(), 11u);
     EXPECT_NEAR(qc.gate(0).angle, kPi / 2, 1e-12);
     EXPECT_NEAR(qc.gate(1).angle, -kPi / 4, 1e-12);
     EXPECT_NEAR(qc.gate(2).angle, 3 * kPi / 4, 1e-12);
     EXPECT_NEAR(qc.gate(3).angle, 0.5, 1e-12);
     EXPECT_NEAR(qc.gate(4).angle, kPi, 1e-12);
     EXPECT_NEAR(qc.gate(5).angle, 2 * kPi - kPi / 2, 1e-12);
+    EXPECT_DOUBLE_EQ(qc.gate(6).angle, 2.08e-05);
+    EXPECT_DOUBLE_EQ(qc.gate(7).angle, -3e-7);
+    EXPECT_DOUBLE_EQ(qc.gate(8).angle, 150.0);
+    EXPECT_NEAR(qc.gate(9).angle, 2e-05 * kPi, 1e-18);
+    EXPECT_NEAR(qc.gate(10).angle, -1e-3, 1e-18);
 }
 
 TEST(QasmImportTest, IgnoresMeasureCregBarrier)
@@ -119,6 +132,20 @@ TEST(QasmImportTest, ErrorsOnMalformedInput)
     EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[2]; rz q[0];"),
                  std::invalid_argument);
     EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[2]; h r[0];"),
+                 std::invalid_argument);
+    // Repeated operands on a 2q gate.
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[2]; cx q[0],q[0];"),
+                 std::invalid_argument);
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[2]; swap q[1], q[1];"),
+                 std::invalid_argument);
+    // Non-finite angles.
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[2]; rz(nan) q[1];"),
+                 std::invalid_argument);
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[2]; rz(inf) q[1];"),
+                 std::invalid_argument);
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[2]; rx(-inf) q[1];"),
+                 std::invalid_argument);
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[2]; ry(1e999) q[1];"),
                  std::invalid_argument);
 }
 

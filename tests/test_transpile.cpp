@@ -10,7 +10,6 @@
 #include "tableau/clifford_tableau.hpp"
 #include "transpile/commutative_cancellation.hpp"
 #include "circuit/circuit_stats.hpp"
-#include "transpile/basis_conversion.hpp"
 #include "transpile/cx_cancellation.hpp"
 #include "transpile/depth_scheduling.hpp"
 #include "transpile/hadamard_rewrite.hpp"
@@ -554,33 +553,6 @@ TEST(DepthSchedulingTest, NeverIncreasesDepthOnRandomCircuits)
         EXPECT_LE(entanglingDepth(qc), before_depth);
         EXPECT_TRUE(circuitsEquivalent(before, qc));
     }
-}
-
-
-TEST(BasisConversionTest, SwapAndCzRewritten)
-{
-    QuantumCircuit qc(3);
-    qc.swap(0, 1);
-    qc.cz(1, 2);
-    qc.cx(0, 2);
-    QuantumCircuit before = qc;
-    BasisConversion pass;
-    EXPECT_TRUE(pass.run(qc));
-    for (const Gate &g : qc.gates())
-        EXPECT_TRUE(!isTwoQubit(g.type) || g.type == GateType::CX);
-    EXPECT_TRUE(circuitsEquivalent(before, qc));
-    // Idempotent.
-    EXPECT_FALSE(pass.run(qc));
-}
-
-TEST(BasisConversionTest, CxOnlyCircuitUntouched)
-{
-    QuantumCircuit qc(2);
-    qc.cx(0, 1);
-    qc.h(0);
-    BasisConversion pass;
-    EXPECT_FALSE(pass.run(qc));
-    EXPECT_EQ(qc.size(), 2u);
 }
 
 } // namespace

@@ -23,7 +23,9 @@
  * clean shutdown, 1 runtime failure, 2 usage error. Serve-mode job
  * failures are in-band error lines, never process exits.
  */
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -73,11 +75,12 @@ printUsage()
         "  --observables STR  comma-separated Pauli labels to absorb\n"
         "  --qaoa             probability-mode absorption (Prop. 1)\n"
         "  --no-local-opt     skip the local-rewrite pipeline\n"
-        "  --threads N        one-shot: worker threads for the batched/\n"
-        "                     parallel compilation paths; serve mode:\n"
-        "                     concurrent jobs (0 = hardware concurrency,\n"
-        "                     1 = sequential; compiled output is\n"
-        "                     identical for every value)\n"
+        "  --threads N        one-shot: chain runners compiling\n"
+        "                     independent commuting-block chains at\n"
+        "                     once; serve mode: concurrent jobs\n"
+        "                     (0 = hardware concurrency, 1 = sequential;\n"
+        "                     compiled output is identical for every\n"
+        "                     value)\n"
         "  --block-parallelism N\n"
         "                     one-shot: independent commuting-block\n"
         "                     chains compiled concurrently (0 = auto,\n"
@@ -131,113 +134,52 @@ parseCountFlag(const char *flag, const std::string &value,
     return true;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/**
+ * Parse the --noise value "P1,P2": exactly two finite rates in [0, 1].
+ * Returns false (with a diagnostic) on anything else.
+ */
+bool
+parseNoiseFlag(const std::string &value, NoiseModel &out)
 {
-    std::string input_path, output_path, observables_arg, noise_arg;
-    std::string hamiltonian_path;
-    bool qaoa = false, verify = false, local_opt = true;
-    bool serve = false, listen = false;
-    uint16_t listen_port = 0;
+    const auto parts = splitCommas(value);
+    double rates[2] = { 0.0, 0.0 };
+    bool ok = parts.size() == 2;
+    for (size_t i = 0; ok && i < parts.size(); ++i) {
+        char *end = nullptr;
+        rates[i] = std::strtod(parts[i].c_str(), &end);
+        ok = end != parts[i].c_str() && *end == '\0' &&
+             std::isfinite(rates[i]) && rates[i] >= 0.0 && rates[i] <= 1.0;
+    }
+    if (!ok) {
+        std::fprintf(stderr,
+                     "invalid --noise value: %s (want P1,P2 in [0, 1])\n",
+                     value.c_str());
+        return false;
+    }
+    out.singleQubitError = rates[0];
+    out.twoQubitError = rates[1];
+    return true;
+}
+
+/** Everything the one-shot mode reads from the command line. */
+struct OneShotArgs
+{
+    std::string inputPath, outputPath, observables, hamiltonianPath;
+    bool qaoa = false, verify = false, localOpt = true;
+    /** Set when --noise was given. */
+    bool noise = false;
+    NoiseModel noiseModel;
     uint32_t threads = 0;
-    uint32_t block_parallelism = 0;
-    bool block_parallelism_set = false;
-    size_t max_queue = 64;
+    uint32_t blockParallelism = 0;
+};
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "-o" && i + 1 < argc) {
-            output_path = argv[++i];
-        } else if (arg == "--threads" && i + 1 < argc) {
-            unsigned long parsed = 0;
-            if (!parseCountFlag("--threads", argv[++i], 1024, parsed))
-                return kExitUsage;
-            threads = static_cast<uint32_t>(parsed);
-        } else if (arg == "--block-parallelism" && i + 1 < argc) {
-            unsigned long parsed = 0;
-            if (!parseCountFlag("--block-parallelism", argv[++i], 1024,
-                                parsed))
-                return kExitUsage;
-            block_parallelism = static_cast<uint32_t>(parsed);
-            block_parallelism_set = true;
-        } else if (arg == "--max-queue" && i + 1 < argc) {
-            unsigned long parsed = 0;
-            if (!parseCountFlag("--max-queue", argv[++i], 1'000'000,
-                                parsed))
-                return kExitUsage;
-            if (parsed == 0) {
-                std::fprintf(stderr, "invalid --max-queue value: 0\n");
-                return kExitUsage;
-            }
-            max_queue = parsed;
-        } else if (arg == "--listen" && i + 1 < argc) {
-            unsigned long parsed = 0;
-            if (!parseCountFlag("--listen", argv[++i], 65535, parsed))
-                return kExitUsage;
-            listen = true;
-            listen_port = static_cast<uint16_t>(parsed);
-        } else if (arg == "--serve") {
-            serve = true;
-        } else if (arg == "--observables" && i + 1 < argc) {
-            observables_arg = argv[++i];
-        } else if (arg == "--noise" && i + 1 < argc) {
-            noise_arg = argv[++i];
-        } else if (arg == "--hamiltonian" && i + 1 < argc) {
-            hamiltonian_path = argv[++i];
-        } else if (arg == "--qaoa") {
-            qaoa = true;
-        } else if (arg == "--verify") {
-            verify = true;
-        } else if (arg == "--no-local-opt") {
-            local_opt = false;
-        } else if (arg == "-h" || arg == "--help") {
-            printUsage();
-            return kExitOk;
-        } else if (!arg.empty() && arg[0] != '-' && input_path.empty()) {
-            input_path = arg;
-        } else {
-            std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-            printUsage();
-            return kExitUsage;
-        }
-    }
-
-    if (serve || listen) {
-        // Serve mode owns stdin/stdout (or the socket); every one-shot
-        // flag besides --threads/--max-queue is a usage error, not a
-        // silent no-op.
-        if (!input_path.empty() || !output_path.empty() ||
-            !observables_arg.empty() || !noise_arg.empty() ||
-            !hamiltonian_path.empty() || qaoa || verify || !local_opt ||
-            block_parallelism_set) {
-            std::fprintf(stderr,
-                         "--serve/--listen take jobs as JSONL; per-job "
-                         "options belong in the job lines "
-                         "(docs/SERVICE.md)\n");
-            return kExitUsage;
-        }
-        service::ServeOptions serve_options;
-        serve_options.workers = threads;
-        serve_options.maxQueue = max_queue;
-        if (listen)
-            return service::serveTcp(listen_port, serve_options);
-        const uint64_t jobs =
-            service::serveStream(std::cin, std::cout, serve_options);
-        std::fprintf(stderr, "quclear_cli: served %llu job(s)\n",
-                     static_cast<unsigned long long>(jobs));
-        return kExitOk;
-    }
-
-    if (input_path.empty()) {
-        printUsage();
-        return kExitUsage;
-    }
-
-    std::ifstream in(input_path);
+/** Compile one QASM file and report on it; returns the exit code. */
+int
+runOneShot(const OneShotArgs &args)
+{
+    std::ifstream in(args.inputPath);
     if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", input_path.c_str());
+        std::fprintf(stderr, "cannot open %s\n", args.inputPath.c_str());
         return kExitRuntime;
     }
     std::stringstream buffer;
@@ -252,9 +194,9 @@ main(int argc, char **argv)
     }
 
     QuClearOptions options;
-    options.applyLocalOptimization = local_opt;
-    options.extraction.threads = threads;
-    options.extraction.blockParallelism = block_parallelism;
+    options.applyLocalOptimization = args.localOpt;
+    options.extraction.threads = args.threads;
+    options.extraction.blockParallelism = args.blockParallelism;
     const QuClear compiler(options);
 
     Timer timer;
@@ -274,20 +216,15 @@ main(int argc, char **argv)
                 program.extraction.extractedClifford.size());
     std::printf("compile : %.4f s\n", seconds);
 
-    if (!noise_arg.empty()) {
-        const auto parts = splitCommas(noise_arg);
-        NoiseModel noise;
-        if (parts.size() == 2) {
-            noise.singleQubitError = std::stod(parts[0]);
-            noise.twoQubitError = std::stod(parts[1]);
-        }
+    if (args.noise) {
+        const NoiseModel &noise = args.noiseModel;
         std::printf("fidelity: %.4f -> %.4f (depolarizing %g/%g)\n",
                     noise.estimatedSuccessProbability(circuit),
                     noise.estimatedSuccessProbability(program.circuit()),
                     noise.singleQubitError, noise.twoQubitError);
     }
 
-    if (verify) {
+    if (args.verify) {
         QuantumCircuit recombined = program.circuit();
         recombined.appendCircuit(program.extraction.extractedClifford);
         const auto verdict = checkEquivalence(circuit, recombined);
@@ -296,10 +233,10 @@ main(int argc, char **argv)
             return kExitRuntime;
     }
 
-    if (!observables_arg.empty()) {
+    if (!args.observables.empty()) {
         std::vector<PauliString> observables;
         try {
-            for (const auto &label : splitCommas(observables_arg))
+            for (const auto &label : splitCommas(args.observables))
                 observables.push_back(PauliString::fromLabel(label));
         } catch (const std::exception &e) {
             std::fprintf(stderr, "%s\n", e.what());
@@ -314,7 +251,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (qaoa) {
+    if (args.qaoa) {
         try {
             const auto pa = compiler.absorbProbabilities(program);
             std::printf("QAOA reduction: H layer on device, %zu-CNOT "
@@ -329,11 +266,11 @@ main(int argc, char **argv)
         }
     }
 
-    if (!hamiltonian_path.empty()) {
-        std::ifstream hin(hamiltonian_path);
+    if (!args.hamiltonianPath.empty()) {
+        std::ifstream hin(args.hamiltonianPath);
         if (!hin) {
             std::fprintf(stderr, "cannot open %s\n",
-                         hamiltonian_path.c_str());
+                         args.hamiltonianPath.c_str());
             return kExitRuntime;
         }
         std::stringstream hbuf;
@@ -392,10 +329,125 @@ main(int argc, char **argv)
         }
     }
 
-    if (!output_path.empty()) {
-        std::ofstream out(output_path);
+    if (!args.outputPath.empty()) {
+        std::ofstream out(args.outputPath);
         out << toQasm(program.circuit());
-        std::printf("wrote   : %s\n", output_path.c_str());
+        std::printf("wrote   : %s\n", args.outputPath.c_str());
     }
     return kExitOk;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    OneShotArgs args;
+    bool serve = false, listen = false;
+    uint16_t listen_port = 0;
+    bool block_parallelism_set = false;
+    size_t max_queue = 64;
+
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "-o" && i + 1 < argc) {
+            args.outputPath = argv[++i];
+        } else if (arg == "--threads" && i + 1 < argc) {
+            unsigned long parsed = 0;
+            if (!parseCountFlag("--threads", argv[++i], 1024, parsed))
+                return kExitUsage;
+            args.threads = static_cast<uint32_t>(parsed);
+        } else if (arg == "--block-parallelism" && i + 1 < argc) {
+            unsigned long parsed = 0;
+            if (!parseCountFlag("--block-parallelism", argv[++i], 1024,
+                                parsed))
+                return kExitUsage;
+            args.blockParallelism = static_cast<uint32_t>(parsed);
+            block_parallelism_set = true;
+        } else if (arg == "--max-queue" && i + 1 < argc) {
+            unsigned long parsed = 0;
+            if (!parseCountFlag("--max-queue", argv[++i], 1'000'000,
+                                parsed))
+                return kExitUsage;
+            if (parsed == 0) {
+                std::fprintf(stderr, "invalid --max-queue value: 0\n");
+                return kExitUsage;
+            }
+            max_queue = parsed;
+        } else if (arg == "--listen" && i + 1 < argc) {
+            unsigned long parsed = 0;
+            if (!parseCountFlag("--listen", argv[++i], 65535, parsed))
+                return kExitUsage;
+            listen = true;
+            listen_port = static_cast<uint16_t>(parsed);
+        } else if (arg == "--serve") {
+            serve = true;
+        } else if (arg == "--observables" && i + 1 < argc) {
+            args.observables = argv[++i];
+        } else if (arg == "--noise" && i + 1 < argc) {
+            if (!parseNoiseFlag(argv[++i], args.noiseModel))
+                return kExitUsage;
+            args.noise = true;
+        } else if (arg == "--hamiltonian" && i + 1 < argc) {
+            args.hamiltonianPath = argv[++i];
+        } else if (arg == "--qaoa") {
+            args.qaoa = true;
+        } else if (arg == "--verify") {
+            args.verify = true;
+        } else if (arg == "--no-local-opt") {
+            args.localOpt = false;
+        } else if (arg == "-h" || arg == "--help") {
+            printUsage();
+            return kExitOk;
+        } else if (!arg.empty() && arg[0] != '-' && args.inputPath.empty()) {
+            args.inputPath = arg;
+        } else {
+            std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+            printUsage();
+            return kExitUsage;
+        }
+    }
+
+    if (serve || listen) {
+        // Serve mode owns stdin/stdout (or the socket); every one-shot
+        // flag besides --threads/--max-queue is a usage error, not a
+        // silent no-op.
+        if (!args.inputPath.empty() || !args.outputPath.empty() ||
+            !args.observables.empty() || args.noise ||
+            !args.hamiltonianPath.empty() || args.qaoa || args.verify ||
+            !args.localOpt || block_parallelism_set) {
+            std::fprintf(stderr,
+                         "--serve/--listen take jobs as JSONL; per-job "
+                         "options belong in the job lines "
+                         "(docs/SERVICE.md)\n");
+            return kExitUsage;
+        }
+        service::ServeOptions serve_options;
+        serve_options.workers = args.threads;
+        serve_options.maxQueue = max_queue;
+        if (listen)
+            return service::serveTcp(listen_port, serve_options);
+        const uint64_t jobs =
+            service::serveStream(std::cin, std::cout, serve_options);
+        std::fprintf(stderr, "quclear_cli: served %llu job(s)\n",
+                     static_cast<unsigned long long>(jobs));
+        return kExitOk;
+    }
+
+    if (args.inputPath.empty()) {
+        printUsage();
+        return kExitUsage;
+    }
+
+    // Any failure past argument parsing (an allocation too large for
+    // the machine, say) is a runtime failure with a message, never an
+    // abort.
+    try {
+        return runOneShot(args);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "quclear_cli: %s\n", e.what());
+    } catch (...) {
+        std::fprintf(stderr, "quclear_cli: unknown failure\n");
+    }
+    return kExitRuntime;
 }
