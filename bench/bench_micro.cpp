@@ -28,12 +28,12 @@
 #include "core/tree_synthesis.hpp"
 #include "mapping/devices.hpp"
 #include "mapping/sabre_router.hpp"
+#include "pauli/pauli_term.hpp"
+#include "reference_stabilizer_simulator.hpp"
+#include "reference_tableau.hpp"
 #include "sim/noise_model.hpp"
 #include "sim/statevector.hpp"
-#include "pauli/pauli_term.hpp"
 #include "tableau/packed_tableau.hpp"
-#include "tableau/reference_stabilizer_simulator.hpp"
-#include "tableau/reference_tableau.hpp"
 #include "tableau/stabilizer_simulator.hpp"
 #include "util/rng.hpp"
 #include "util/simd_dispatch.hpp"
@@ -564,11 +564,11 @@ BENCHMARK(BM_StabilizerSimNoiseMc)
 /** @} */
 
 /**
- * @name Per-dispatch-level tableau kernels.
+ * @name Per-dispatch-level kernels.
  *
- * The same four engine paths the tentpole SIMD backends accelerate —
- * gate appends, lone dense conjugation, batched conjugation, and
- * tableau composition — re-run with the kernel table pinned to every
+ * The engine paths the SIMD kernel tables serve — gate appends, lone
+ * dense conjugation, batched conjugation, tableau composition, and
+ * Pauli multiply/commute — re-run with the kernel table pinned to every
  * level this host supports (scalar always; avx2/avx512 when compiled
  * in and CPUID-approved), so BENCH_tableau.json records the measured
  * gain per level on one machine. Registration happens at runtime in
@@ -667,6 +667,36 @@ simdTableauCompose(benchmark::State &state, simd::Level lvl)
     simd::resetLevel();
 }
 
+/**
+ * PauliString multiply plus commutation test through the dispatched
+ * mulWords / anticommuteParity folds (strings wider than one word).
+ */
+void
+simdPauliMulCommute(benchmark::State &state, simd::Level lvl)
+{
+    if (!simd::forceLevel(lvl)) {
+        state.SkipWithError("dispatch level unsupported on this host");
+        return;
+    }
+    const uint32_t n = static_cast<uint32_t>(state.range(0));
+    Rng rng(15);
+    std::vector<PauliString> pool;
+    for (int i = 0; i < 64; ++i)
+        pool.push_back(randomPauli(n, rng));
+    PauliString acc = randomPauli(n, rng);
+    size_t i = 0;
+    int64_t commuting = 0;
+    for (auto _ : state) {
+        acc.mulRight(pool[i & 63]);
+        commuting += acc.commutesWith(pool[(i + 1) & 63]) ? 1 : 0;
+        ++i;
+        benchmark::DoNotOptimize(commuting);
+    }
+    benchmark::DoNotOptimize(acc);
+    state.SetItemsProcessed(state.iterations());
+    simd::resetLevel();
+}
+
 /** Register the per-level series for every level this host supports. */
 void
 registerSimdTableauBenchmarks()
@@ -689,7 +719,10 @@ registerSimdTableauBenchmarks()
         benchmark::RegisterBenchmark(
             ("BM_SimdTableauConjugateBatch/" + tag).c_str(),
             simdTableauConjugateBatch, lvl)
+            ->Args({ 64, 64 })
             ->Args({ 128, 64 })
+            ->Args({ 256, 64 })
+            ->Args({ 512, 64 })
             ->Args({ 1024, 64 });
         benchmark::RegisterBenchmark(
             ("BM_SimdTableauConjugateBatchSparse/" + tag).c_str(),
@@ -697,6 +730,11 @@ registerSimdTableauBenchmarks()
             ->Args({ 1024, 64, 8 });
         benchmark::RegisterBenchmark(
             ("BM_SimdTableauCompose/" + tag).c_str(), simdTableauCompose,
+            lvl)
+            ->Arg(128)
+            ->Arg(1024);
+        benchmark::RegisterBenchmark(
+            ("BM_SimdPauliMulCommute/" + tag).c_str(), simdPauliMulCommute,
             lvl)
             ->Arg(128)
             ->Arg(1024);

@@ -6,12 +6,21 @@
  * updates, popcount reductions, Pauli multiplication, the dense
  * conjugation column pass, the batch row-product walk, and the 64x64
  * bit-block transpose — is routed through a table of function pointers
- * (Kernels). Three backends implement the table:
+ * (Kernels). Three tables implement it, all built from one generic
+ * kernel source (simd_kernels_generic.hpp) compiled once per target:
  *
- *   scalar  portable uint64_t loops, always compiled, the semantic
- *           reference;
- *   avx2    256-bit AVX2 intrinsics (4 words per op);
- *   avx512  512-bit AVX-512 F/BW/DQ/VL intrinsics (8 words per op).
+ *   scalar  the generic kernels with the baseline flags; always
+ *           compiled, the semantic reference;
+ *   avx2    the generic kernels compiled with -mavx2 and
+ *           auto-vectorized, plus hand-written 256-bit mulWords,
+ *           denseColumn and rowProduct;
+ *   avx512  the generic kernels compiled with -mavx512f/bw/dq/vl,
+ *           plus hand-written 512-bit mulWords, denseColumn and
+ *           rowProduct.
+ *
+ * A hand-written kernel stays only while bench_micro shows it beating
+ * the generic build of its own level by at least 1.2x (docs/
+ * ARCHITECTURE.md lists them with their medians).
  *
  * The active table is resolved once per process: the widest backend
  * that is (a) compiled in (CMake option QUCLEAR_SIMD caps the set and
@@ -21,7 +30,7 @@
  * the QUCLEAR_SIMD environment variable (auto|avx512|avx2|scalar).
  * Tests and benchmarks can pin a level with forceLevel().
  *
- * Contract: every backend is BIT-IDENTICAL to the scalar path. All
+ * Contract: every table is BIT-IDENTICAL to the scalar path. All
  * kernels compute exact integer/bitwise results — there is no
  * floating point, no reassociation hazard, and reductions are
  * XOR-folds or popcount sums whose order does not affect the result —
@@ -87,8 +96,10 @@ struct RowProductResult
 
 /**
  * Backend kernel table. All word arrays are unaligned uint64_t spans
- * of n words; kernels may process them in any width but must produce
- * results bit-identical to the scalar backend.
+ * of n words. The arrays passed to one gate-append or xorInto call
+ * must not overlap (the generic kernels declare them __restrict).
+ * Kernels may process the words in any width but must produce results
+ * bit-identical to the scalar backend.
  */
 struct Kernels
 {

@@ -1,36 +1,47 @@
 /**
  * @file
- * AVX-512 backend of the SIMD kernel table: 512-bit ops, 8 tableau
- * words per step. Requires F+BW+DQ+VL (BW for the byte-shuffle
- * popcount, DQ for movm_epi64 lane masks); VPOPCNTDQ is deliberately
- * not required. Tails use AVX-512VL masked 256/128-bit ops or scalar.
+ * AVX-512 kernel table: the generic kernels (simd_kernels_generic.hpp)
+ * compiled with -mavx512f/bw/dq/vl and left to the auto-vectorizer,
+ * plus hand-written mulWords, denseColumn and rowProduct (rows of up
+ * to 8 words), the kernels whose intrinsics beat the auto-vectorized
+ * build by at least 1.2x in bench_micro (medians in ARCHITECTURE.md).
+ * VPOPCNTDQ is deliberately not required.
  *
- * Same confinement and bit-identicality rules as the AVX2 backend:
- * only this TU gets -mavx512*, and every kernel reproduces the scalar
- * XOR-fold / popcount-sum results exactly.
+ * CMake confines the -mavx512* flags to this TU and defines
+ * QUCLEAR_SIMD_COMPILE_AVX512 only when the level is compiled in, so
+ * the rest of the binary stays runnable on non-AVX hosts and the
+ * dispatcher only hands this table out after the CPUID probe passes.
+ * The hand-written kernels reproduce the generic XOR-fold / popcount
+ * results exactly.
  */
 #include "util/simd_kernels_internal.hpp"
 
 #if defined(QUCLEAR_SIMD_COMPILE_AVX512) && \
     (defined(__x86_64__) || defined(__i386__))
 
+// GCC 12 reports a false -Wmaybe-uninitialized / -Wuninitialized on
+// the deliberately self-initialized `__Y` inside avx512fintrin.h when
+// its inlined intrinsics meet -fsanitize=thread. The pragma covers
+// only the system header, so warnings in this file still fail -Werror.
+#if !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
 #include <immintrin.h>
+#if !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #include <bit>
 #include <cstdint>
-#include <utility>
 
+#include "util/simd_kernels_generic.hpp"
 #include "util/support_index.hpp"
 
 namespace quclear::simd {
 
 namespace {
-
-inline uint32_t
-popcnt(uint64_t v)
-{
-    return static_cast<uint32_t>(std::popcount(v));
-}
 
 inline __m512i
 loadu(const uint64_t *p)
@@ -60,12 +71,6 @@ popcnt64x8(__m512i v)
 }
 
 inline uint64_t
-hsum(__m512i v)
-{
-    return static_cast<uint64_t>(_mm512_reduce_add_epi64(v));
-}
-
-inline uint64_t
 hxor(__m512i v)
 {
     const __m256i h =
@@ -77,229 +82,37 @@ hxor(__m512i v)
            static_cast<uint64_t>(_mm_extract_epi64(s, 1));
 }
 
-void
-appendH(uint64_t *x, uint64_t *z, uint64_t *s, uint32_t n)
+/** Per-lane exclusive prefix-parity scan (the generic shift cascade). */
+inline __m512i
+prefixParityExclusive8(__m512i v)
 {
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i vx = loadu(x + w);
-        const __m512i vz = loadu(z + w);
-        storeu(s + w,
-               _mm512_xor_si512(loadu(s + w), _mm512_and_si512(vx, vz)));
-        storeu(x + w, vz);
-        storeu(z + w, vx);
-    }
-    for (; w < n; ++w) {
-        s[w] ^= x[w] & z[w];
-        std::swap(x[w], z[w]);
-    }
+    v = _mm512_xor_si512(v, _mm512_slli_epi64(v, 1));
+    v = _mm512_xor_si512(v, _mm512_slli_epi64(v, 2));
+    v = _mm512_xor_si512(v, _mm512_slli_epi64(v, 4));
+    v = _mm512_xor_si512(v, _mm512_slli_epi64(v, 8));
+    v = _mm512_xor_si512(v, _mm512_slli_epi64(v, 16));
+    v = _mm512_xor_si512(v, _mm512_slli_epi64(v, 32));
+    return _mm512_slli_epi64(v, 1);
 }
 
-void
-appendS(uint64_t *x, uint64_t *z, uint64_t *s, uint32_t n)
-{
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i vx = loadu(x + w);
-        const __m512i vz = loadu(z + w);
-        storeu(s + w,
-               _mm512_xor_si512(loadu(s + w), _mm512_and_si512(vx, vz)));
-        storeu(z + w, _mm512_xor_si512(vz, vx));
-    }
-    for (; w < n; ++w) {
-        s[w] ^= x[w] & z[w];
-        z[w] ^= x[w];
-    }
-}
-
-void
-appendSdg(uint64_t *x, uint64_t *z, uint64_t *s, uint32_t n)
-{
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i vx = loadu(x + w);
-        const __m512i vz = loadu(z + w);
-        storeu(s + w, _mm512_xor_si512(loadu(s + w),
-                                       _mm512_andnot_si512(vz, vx)));
-        storeu(z + w, _mm512_xor_si512(vz, vx));
-    }
-    for (; w < n; ++w) {
-        s[w] ^= x[w] & ~z[w];
-        z[w] ^= x[w];
-    }
-}
-
-void
-appendSqrtX(uint64_t *x, uint64_t *z, uint64_t *s, uint32_t n)
-{
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i vx = loadu(x + w);
-        const __m512i vz = loadu(z + w);
-        storeu(s + w, _mm512_xor_si512(loadu(s + w),
-                                       _mm512_andnot_si512(vx, vz)));
-        storeu(x + w, _mm512_xor_si512(vx, vz));
-    }
-    for (; w < n; ++w) {
-        s[w] ^= ~x[w] & z[w];
-        x[w] ^= z[w];
-    }
-}
-
-void
-appendSqrtXdg(uint64_t *x, uint64_t *z, uint64_t *s, uint32_t n)
-{
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i vx = loadu(x + w);
-        const __m512i vz = loadu(z + w);
-        storeu(s + w,
-               _mm512_xor_si512(loadu(s + w), _mm512_and_si512(vx, vz)));
-        storeu(x + w, _mm512_xor_si512(vx, vz));
-    }
-    for (; w < n; ++w) {
-        s[w] ^= x[w] & z[w];
-        x[w] ^= z[w];
-    }
-}
-
-void
-appendCX(uint64_t *xc, uint64_t *zc, uint64_t *xt, uint64_t *zt,
-         uint64_t *s, uint32_t n)
-{
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i vxc = loadu(xc + w);
-        const __m512i vzc = loadu(zc + w);
-        const __m512i vxt = loadu(xt + w);
-        const __m512i vzt = loadu(zt + w);
-        const __m512i flip = _mm512_andnot_si512(
-            _mm512_xor_si512(vxt, vzc), _mm512_and_si512(vxc, vzt));
-        storeu(s + w, _mm512_xor_si512(loadu(s + w), flip));
-        storeu(xt + w, _mm512_xor_si512(vxt, vxc));
-        storeu(zc + w, _mm512_xor_si512(vzc, vzt));
-    }
-    for (; w < n; ++w) {
-        s[w] ^= xc[w] & zt[w] & ~(xt[w] ^ zc[w]);
-        xt[w] ^= xc[w];
-        zc[w] ^= zt[w];
-    }
-}
-
-void
-appendCZ(uint64_t *xa, uint64_t *za, uint64_t *xb, uint64_t *zb,
-         uint64_t *s, uint32_t n)
-{
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i vxa = loadu(xa + w);
-        const __m512i vza = loadu(za + w);
-        const __m512i vxb = loadu(xb + w);
-        const __m512i vzb = loadu(zb + w);
-        const __m512i flip = _mm512_and_si512(
-            _mm512_and_si512(vxa, vxb), _mm512_xor_si512(vza, vzb));
-        storeu(s + w, _mm512_xor_si512(loadu(s + w), flip));
-        storeu(za + w, _mm512_xor_si512(vza, vxb));
-        storeu(zb + w, _mm512_xor_si512(vzb, vxa));
-    }
-    for (; w < n; ++w) {
-        s[w] ^= xa[w] & xb[w] & (za[w] ^ zb[w]);
-        za[w] ^= xb[w];
-        zb[w] ^= xa[w];
-    }
-}
-
-void
-xorInto(uint64_t *dst, const uint64_t *a, uint32_t n)
-{
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8)
-        storeu(dst + w, _mm512_xor_si512(loadu(dst + w), loadu(a + w)));
-    for (; w < n; ++w)
-        dst[w] ^= a[w];
-}
-
-void
-xorInto2(uint64_t *dst, const uint64_t *a, const uint64_t *b, uint32_t n)
-{
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8)
-        storeu(dst + w,
-               _mm512_xor_si512(loadu(dst + w),
-                                _mm512_xor_si512(loadu(a + w),
-                                                 loadu(b + w))));
-    for (; w < n; ++w)
-        dst[w] ^= a[w] ^ b[w];
-}
-
-void
-swapWords(uint64_t *a, uint64_t *b, uint32_t n)
-{
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i va = loadu(a + w);
-        const __m512i vb = loadu(b + w);
-        storeu(a + w, vb);
-        storeu(b + w, va);
-    }
-    for (; w < n; ++w)
-        std::swap(a[w], b[w]);
-}
-
-uint64_t
-popcountWords(const uint64_t *a, uint32_t n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8)
-        acc = _mm512_add_epi64(acc, popcnt64x8(loadu(a + w)));
-    uint64_t c = hsum(acc);
-    for (; w < n; ++w)
-        c += popcnt(a[w]);
-    return c;
-}
-
-uint64_t
-popcountAnd(const uint64_t *a, const uint64_t *b, uint32_t n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8)
-        acc = _mm512_add_epi64(
-            acc, popcnt64x8(_mm512_and_si512(loadu(a + w),
-                                             loadu(b + w))));
-    uint64_t c = hsum(acc);
-    for (; w < n; ++w)
-        c += popcnt(a[w] & b[w]);
-    return c;
-}
-
+/**
+ * mulWords over whole 8-word vectors; the generic kernel takes the
+ * tail (the tallies add mod 4 across word ranges) and every string
+ * shorter than one vector, where the horizontal sums cost more than
+ * they save.
+ */
 uint32_t
-anticommuteParity(const uint64_t *xa, const uint64_t *za,
-                  const uint64_t *xb, const uint64_t *zb, uint32_t n)
+mulWordsAvx512(uint64_t *xa, uint64_t *za, const uint64_t *xb,
+               const uint64_t *zb, uint32_t n)
 {
-    __m512i fold = _mm512_setzero_si512();
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i t = _mm512_xor_si512(
-            _mm512_and_si512(loadu(xa + w), loadu(zb + w)),
-            _mm512_and_si512(loadu(za + w), loadu(xb + w)));
-        fold = _mm512_xor_si512(fold, t);
-    }
-    uint64_t f = hxor(fold);
-    for (; w < n; ++w)
-        f ^= (xa[w] & zb[w]) ^ (za[w] & xb[w]);
-    return popcnt(f) & 1;
-}
-
-uint32_t
-mulWords(uint64_t *xa, uint64_t *za, const uint64_t *xb,
-         const uint64_t *zb, uint32_t n)
-{
+    const uint32_t full = n & ~7u;
+    const uint32_t tail =
+        mulWords(xa + full, za + full, xb + full, zb + full, n - full);
+    if (full == 0)
+        return tail;
     __m512i plus_v = _mm512_setzero_si512();
     __m512i minus_v = _mm512_setzero_si512();
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
+    for (uint32_t w = 0; w < full; w += 8) {
         const __m512i x1 = loadu(xa + w);
         const __m512i z1 = loadu(za + w);
         const __m512i x2 = loadu(xb + w);
@@ -325,49 +138,20 @@ mulWords(uint64_t *xa, uint64_t *za, const uint64_t *xb,
         storeu(xa + w, _mm512_xor_si512(x1, x2));
         storeu(za + w, _mm512_xor_si512(z1, z2));
     }
-    uint64_t plus = hsum(plus_v);
-    uint64_t minus = hsum(minus_v);
-    for (; w < n; ++w) {
-        const uint64_t x1 = xa[w], z1 = za[w];
-        const uint64_t x2 = xb[w], z2 = zb[w];
-        plus += popcnt((x1 & ~z1 & x2 & z2) | (x1 & z1 & ~x2 & z2) |
-                       (~x1 & z1 & x2 & ~z2));
-        minus += popcnt((x2 & ~z2 & x1 & z1) | (x2 & z2 & ~x1 & z1) |
-                        (~x2 & z2 & x1 & ~z1));
-        xa[w] ^= x2;
-        za[w] ^= z2;
-    }
-    return static_cast<uint32_t>((plus + 3 * (minus & 3)) & 3);
-}
-
-inline uint64_t
-prefixParityExclusiveScalar(uint64_t v)
-{
-    v ^= v << 1;
-    v ^= v << 2;
-    v ^= v << 4;
-    v ^= v << 8;
-    v ^= v << 16;
-    v ^= v << 32;
-    return v << 1;
-}
-
-inline __m512i
-prefixParityExclusive8(__m512i v)
-{
-    v = _mm512_xor_si512(v, _mm512_slli_epi64(v, 1));
-    v = _mm512_xor_si512(v, _mm512_slli_epi64(v, 2));
-    v = _mm512_xor_si512(v, _mm512_slli_epi64(v, 4));
-    v = _mm512_xor_si512(v, _mm512_slli_epi64(v, 8));
-    v = _mm512_xor_si512(v, _mm512_slli_epi64(v, 16));
-    v = _mm512_xor_si512(v, _mm512_slli_epi64(v, 32));
-    return _mm512_slli_epi64(v, 1);
+    const uint64_t plus =
+        static_cast<uint64_t>(_mm512_reduce_add_epi64(plus_v));
+    const uint64_t minus =
+        static_cast<uint64_t>(_mm512_reduce_add_epi64(minus_v));
+    return static_cast<uint32_t>((tail + plus + 3 * (minus & 3)) & 3);
 }
 
 DenseColumnResult
-denseColumn(const uint64_t *xc, const uint64_t *zc, const uint64_t *mask,
-            uint32_t n)
+denseColumnAvx512(const uint64_t *xc, const uint64_t *zc,
+                  const uint64_t *mask, uint32_t n)
 {
+    // Below one vector the horizontal folds cost more than they save.
+    if (n < 8)
+        return denseColumn(xc, zc, mask, n);
     __m512i xfold_v = _mm512_setzero_si512();
     __m512i zfold_v = _mm512_setzero_si512();
     __m512i pair_v = _mm512_setzero_si512();
@@ -404,14 +188,15 @@ denseColumn(const uint64_t *xc, const uint64_t *zc, const uint64_t *mask,
     uint64_t x_fold = hxor(xfold_v);
     uint64_t z_fold = hxor(zfold_v);
     uint64_t pair_fold = hxor(pair_v);
-    uint64_t y_count = hsum(ycnt_v);
+    uint64_t y_count =
+        static_cast<uint64_t>(_mm512_reduce_add_epi64(ycnt_v));
     for (; w < n; ++w) {
         const uint64_t ux = xc[w] & mask[w];
         const uint64_t uz = zc[w] & mask[w];
         x_fold ^= ux;
         z_fold ^= uz;
         y_count += popcnt(ux & uz);
-        pair_fold ^= ux & prefixParityExclusiveScalar(uz);
+        pair_fold ^= ux & prefixParityExclusive(uz);
         pair_fold ^= (0 - z_run) & ux;
         z_run ^= popcnt(uz) & 1;
     }
@@ -419,96 +204,12 @@ denseColumn(const uint64_t *xc, const uint64_t *zc, const uint64_t *mask,
              static_cast<uint32_t>(y_count), pair_fold };
 }
 
-/** Broadcast row-sum column update (see the scalar backend), 8 words
- *  per step with the compile-time broadcast letter specializing the
- *  +-i case masks; the carry-save add is a ternlog-friendly XOR/AND
- *  chain. */
-template <bool BX, bool BZ>
-void
-rowsumColumnImpl(uint64_t *xc, uint64_t *zc, const uint64_t *mask,
-                 uint64_t *acc0, uint64_t *acc1, uint32_t n)
-{
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i m = loadu(mask + w);
-        const __m512i x1 = loadu(xc + w);
-        const __m512i z1 = loadu(zc + w);
-        __m512i plus, minus;
-        if (BX && BZ) {  // . Y: X -> +i, Z -> -i
-            plus = _mm512_andnot_si512(z1, x1);
-            minus = _mm512_andnot_si512(x1, z1);
-        } else if (BX) { // . X: Z -> +i, Y -> -i
-            plus = _mm512_andnot_si512(x1, z1);
-            minus = _mm512_and_si512(x1, z1);
-        } else {         // . Z: Y -> +i, X -> -i
-            plus = _mm512_and_si512(x1, z1);
-            minus = _mm512_andnot_si512(z1, x1);
-        }
-        plus = _mm512_and_si512(plus, m);
-        minus = _mm512_and_si512(minus, m);
-        __m512i a0 = loadu(acc0 + w);
-        __m512i a1 = loadu(acc1 + w);
-        __m512i carry = _mm512_and_si512(a0, plus);
-        a0 = _mm512_xor_si512(a0, plus);
-        a1 = _mm512_xor_si512(a1, _mm512_xor_si512(carry, minus));
-        carry = _mm512_and_si512(a0, minus);
-        a0 = _mm512_xor_si512(a0, minus);
-        a1 = _mm512_xor_si512(a1, carry);
-        storeu(acc0 + w, a0);
-        storeu(acc1 + w, a1);
-        if (BX)
-            storeu(xc + w, _mm512_xor_si512(x1, m));
-        if (BZ)
-            storeu(zc + w, _mm512_xor_si512(z1, m));
-    }
-    for (; w < n; ++w) {
-        const uint64_t m = mask[w];
-        const uint64_t x1 = xc[w], z1 = zc[w];
-        uint64_t plus, minus;
-        if (BX && BZ) {
-            plus = x1 & ~z1;
-            minus = ~x1 & z1;
-        } else if (BX) {
-            plus = ~x1 & z1;
-            minus = x1 & z1;
-        } else {
-            plus = x1 & z1;
-            minus = x1 & ~z1;
-        }
-        plus &= m;
-        minus &= m;
-        uint64_t carry = acc0[w] & plus;
-        acc0[w] ^= plus;
-        acc1[w] ^= carry ^ minus;
-        carry = acc0[w] & minus;
-        acc0[w] ^= minus;
-        acc1[w] ^= carry;
-        if (BX)
-            xc[w] ^= m;
-        if (BZ)
-            zc[w] ^= m;
-    }
-}
-
-void
-rowsumColumn(uint64_t *xc, uint64_t *zc, const uint64_t *mask,
-             uint32_t bx, uint32_t bz, uint64_t *acc0, uint64_t *acc1,
-             uint32_t n)
-{
-    if (bx != 0 && bz != 0)
-        rowsumColumnImpl<true, true>(xc, zc, mask, acc0, acc1, n);
-    else if (bx != 0)
-        rowsumColumnImpl<true, false>(xc, zc, mask, acc0, acc1, n);
-    else if (bz != 0)
-        rowsumColumnImpl<false, true>(xc, zc, mask, acc0, acc1, n);
-}
-
 /** rw == 1: one 128-bit register holds the whole [x | z] row slot. */
 RowProductResult
 rowProduct1(const RowProductArgs &a)
 {
-    __m128i acc = _mm_setzero_si128();
-    __m128i fold = _mm_setzero_si128();
+    __m128i acc = _mm_setzero_si128();  // [acc_x, acc_z]
+    __m128i fold = _mm_setzero_si128(); // lane 1 accumulates accz & xr
     uint32_t sign_rows = 0;
     uint32_t y_rows = 0;
     a.maskIndex->forEachWord([&](uint32_t w) {
@@ -522,6 +223,7 @@ rowProduct1(const RowProductArgs &a)
             const __m128i row = _mm_loadu_si128(
                 reinterpret_cast<const __m128i *>(
                     a.rowsXZ + static_cast<size_t>(r) * a.stride));
+            // swapped = [z, x]; acc & swapped lane 1 = acc_z & x_row.
             const __m128i swapped = _mm_shuffle_epi32(row, 0x4E);
             fold = _mm_xor_si128(fold, _mm_and_si128(acc, swapped));
             acc = _mm_xor_si128(acc, row);
@@ -544,7 +246,7 @@ RowProductResult
 rowProduct2(const RowProductArgs &a)
 {
     __m256i acc = _mm256_setzero_si256();
-    __m256i fold = _mm256_setzero_si256();
+    __m256i fold = _mm256_setzero_si256(); // lanes 2,3: accz & xr
     uint32_t sign_rows = 0;
     uint32_t y_rows = 0;
     a.maskIndex->forEachWord([&](uint32_t w) {
@@ -559,7 +261,7 @@ rowProduct2(const RowProductArgs &a)
                 reinterpret_cast<const __m256i *>(
                     a.rowsXZ + static_cast<size_t>(r) * a.stride));
             const __m256i swapped =
-                _mm256_permute4x64_epi64(row, 0x4E);
+                _mm256_permute4x64_epi64(row, 0x4E); // [z0,z1,x0,x1]
             fold = _mm256_xor_si256(fold, _mm256_and_si256(acc, swapped));
             acc = _mm256_xor_si256(acc, row);
             y_rows += a.yCount[r];
@@ -660,183 +362,40 @@ rowProduct8(const RowProductArgs &a)
     return { sign_rows, y_rows, popcnt(hxor(fold)) & 1, y_result };
 }
 
-/** Generic path: rwPad is a multiple of 8, accumulators in scratch. */
 RowProductResult
-rowProductWide(const RowProductArgs &a)
-{
-    uint64_t *acc_x = a.scratch;
-    uint64_t *acc_z = acc_x + a.rwPad;
-    uint64_t *fold = acc_z + a.rwPad;
-    const __m512i zero = _mm512_setzero_si512();
-    for (uint32_t u = 0; u < a.rwPad; u += 8) {
-        storeu(acc_x + u, zero);
-        storeu(acc_z + u, zero);
-        storeu(fold + u, zero);
-    }
-    uint32_t sign_rows = 0;
-    uint32_t y_rows = 0;
-    a.maskIndex->forEachWord([&](uint32_t w) {
-        const uint64_t mw = a.mask[w];
-        sign_rows += popcnt(a.signs[w] & mw);
-        uint64_t bits = mw;
-        while (bits) {
-            const uint32_t r =
-                64 * w + static_cast<uint32_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            const uint64_t *xr =
-                a.rowsXZ + static_cast<size_t>(r) * a.stride;
-            const uint64_t *zr = xr + a.rwPad;
-            for (uint32_t u = 0; u < a.rwPad; u += 8) {
-                const __m512i vx = loadu(xr + u);
-                storeu(fold + u,
-                       _mm512_xor_si512(loadu(fold + u),
-                                        _mm512_and_si512(
-                                            loadu(acc_z + u), vx)));
-                storeu(acc_x + u,
-                       _mm512_xor_si512(loadu(acc_x + u), vx));
-                storeu(acc_z + u, _mm512_xor_si512(loadu(acc_z + u),
-                                                   loadu(zr + u)));
-            }
-            y_rows += a.yCount[r];
-        }
-    });
-    uint64_t pair_fold = 0;
-    uint32_t y_result = 0;
-    for (uint32_t u = 0; u < a.rw; ++u) {
-        pair_fold ^= fold[u];
-        y_result += popcnt(acc_x[u] & acc_z[u]);
-        a.outX[u] = acc_x[u];
-        a.outZ[u] = acc_z[u];
-    }
-    for (uint32_t u = a.rw; u < a.rwPad; ++u)
-        pair_fold ^= fold[u];
-    return { sign_rows, y_rows, popcnt(pair_fold) & 1, y_result };
-}
-
-RowProductResult
-rowProduct(const RowProductArgs &a)
+rowProductAvx512(const RowProductArgs &a)
 {
     switch (a.rwPad) {
       case 1:  return rowProduct1(a);
       case 2:  return rowProduct2(a);
       case 4:  return rowProduct4(a);
       case 8:  return rowProduct8(a);
-      default: return rowProductWide(a);
+      default: return rowProduct(a);
     }
 }
 
 uint32_t
-padRowWords(uint32_t rw)
+padRowWordsAvx512(uint32_t rw)
 {
-    // 1 -> one xmm slot, 2 -> one ymm slot, 3-4 -> one zmm slot,
-    // beyond that pad each half to whole zmm vectors.
-    if (rw <= 2)
+    // 1 -> one xmm slot, 2 -> one ymm slot, 3-4 -> one zmm slot, 5-8 ->
+    // one zmm per half; wider rows take the generic walk, unpadded.
+    if (rw <= 2 || rw > 8)
         return rw;
-    if (rw <= 4)
-        return 4;
-    return (rw + 7) & ~7u;
+    return rw <= 4 ? 4 : 8;
 }
 
-/** Strided transpose round for J >= 8: vector pairs at distance J. */
-template <uint32_t J>
-inline void
-transposeStepWide(uint64_t a[64], uint64_t m)
+constexpr Kernels
+avx512Kernels()
 {
-    const __m512i vm = _mm512_set1_epi64(static_cast<int64_t>(m));
-    for (uint32_t base = 0; base < 64; base += 2 * J) {
-        for (uint32_t off = 0; off < J; off += 8) {
-            uint64_t *pa = a + base + off;
-            uint64_t *pb = pa + J;
-            const __m512i va = loadu(pa);
-            const __m512i vb = loadu(pb);
-            const __m512i t = _mm512_and_si512(
-                _mm512_xor_si512(_mm512_srli_epi64(va, J), vb), vm);
-            storeu(pa, _mm512_xor_si512(va, _mm512_slli_epi64(t, J)));
-            storeu(pb, _mm512_xor_si512(vb, t));
-        }
-    }
+    Kernels k = genericKernels(Level::Avx512, "avx512");
+    k.mulWords = mulWordsAvx512;
+    k.denseColumn = denseColumnAvx512;
+    k.rowProduct = rowProductAvx512;
+    k.padRowWords = padRowWordsAvx512;
+    return k;
 }
 
-/**
- * In-register rounds J=4,2,1: the partner word is J lanes away inside
- * the zmm, so the pair swap is a lane permute and the update masks to
- * the low lane of each pair.
- */
-inline void
-transposeTail(uint64_t a[64])
-{
-    const __m512i m4 = _mm512_set1_epi64(0x0F0F0F0F0F0F0F0FLL);
-    const __m512i m2 = _mm512_set1_epi64(0x3333333333333333LL);
-    const __m512i m1 = _mm512_set1_epi64(0x5555555555555555LL);
-    for (uint32_t k = 0; k < 64; k += 8) {
-        __m512i v = loadu(a + k);
-        // J = 4: 256-bit halves pair.
-        __m512i sw = _mm512_shuffle_i64x2(v, v, 0x4E);
-        __m512i t = _mm512_and_si512(
-            _mm512_xor_si512(_mm512_srli_epi64(v, 4), sw), m4);
-        t = _mm512_maskz_mov_epi64(0x0F, t);
-        v = _mm512_xor_si512(
-            v, _mm512_xor_si512(_mm512_slli_epi64(t, 4),
-                                _mm512_shuffle_i64x2(t, t, 0x4E)));
-        // J = 2: adjacent 128-bit chunks pair.
-        sw = _mm512_shuffle_i64x2(v, v, 0xB1);
-        t = _mm512_and_si512(
-            _mm512_xor_si512(_mm512_srli_epi64(v, 2), sw), m2);
-        t = _mm512_maskz_mov_epi64(0x33, t);
-        v = _mm512_xor_si512(
-            v, _mm512_xor_si512(_mm512_slli_epi64(t, 2),
-                                _mm512_shuffle_i64x2(t, t, 0xB1)));
-        // J = 1: adjacent lanes pair within each 128-bit chunk.
-        sw = _mm512_shuffle_epi32(v, _MM_PERM_BADC);
-        t = _mm512_and_si512(
-            _mm512_xor_si512(_mm512_srli_epi64(v, 1), sw), m1);
-        t = _mm512_maskz_mov_epi64(0x55, t);
-        v = _mm512_xor_si512(
-            v, _mm512_xor_si512(_mm512_slli_epi64(t, 1),
-                                _mm512_shuffle_epi32(t, _MM_PERM_BADC)));
-        storeu(a + k, v);
-    }
-}
-
-inline void
-transpose64(uint64_t a[64])
-{
-    transposeStepWide<32>(a, 0x00000000FFFFFFFFULL);
-    transposeStepWide<16>(a, 0x0000FFFF0000FFFFULL);
-    transposeStepWide<8>(a, 0x00FF00FF00FF00FFULL);
-    transposeTail(a);
-}
-
-void
-transpose64x2(uint64_t *x, uint64_t *z)
-{
-    transpose64(x);
-    transpose64(z);
-}
-
-constexpr Kernels kAvx512Kernels = {
-    Level::Avx512,
-    "avx512",
-    appendH,
-    appendS,
-    appendSdg,
-    appendSqrtX,
-    appendSqrtXdg,
-    appendCX,
-    appendCZ,
-    xorInto,
-    xorInto2,
-    swapWords,
-    popcountWords,
-    popcountAnd,
-    anticommuteParity,
-    mulWords,
-    denseColumn,
-    rowsumColumn,
-    rowProduct,
-    padRowWords,
-    transpose64x2,
-};
+constexpr Kernels kAvx512Kernels = avx512Kernels();
 
 } // namespace
 

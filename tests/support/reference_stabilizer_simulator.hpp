@@ -8,8 +8,8 @@
  * engine must reproduce bit for bit (tests/test_stabilizer_packed.cpp
  * cross-checks the two on identical RNG streams).
  */
-#ifndef QUCLEAR_TABLEAU_REFERENCE_STABILIZER_SIMULATOR_HPP
-#define QUCLEAR_TABLEAU_REFERENCE_STABILIZER_SIMULATOR_HPP
+#ifndef QUCLEAR_TESTS_REFERENCE_STABILIZER_SIMULATOR_HPP
+#define QUCLEAR_TESTS_REFERENCE_STABILIZER_SIMULATOR_HPP
 
 #include <cstdint>
 #include <map>
@@ -88,4 +88,4 @@ class ReferenceStabilizerSimulator
 
 } // namespace quclear
 
-#endif // QUCLEAR_TABLEAU_REFERENCE_STABILIZER_SIMULATOR_HPP
+#endif // QUCLEAR_TESTS_REFERENCE_STABILIZER_SIMULATOR_HPP

@@ -1,4 +1,4 @@
-#include "tableau/reference_tableau.hpp"
+#include "reference_tableau.hpp"
 
 #include <cassert>
 #include <cstdint>

@@ -11,8 +11,8 @@
  * (test_tableau_packed) and as the baseline the bench_micro tableau
  * microbenchmarks measure speedups against. Do not use it on hot paths.
  */
-#ifndef QUCLEAR_TABLEAU_REFERENCE_TABLEAU_HPP
-#define QUCLEAR_TABLEAU_REFERENCE_TABLEAU_HPP
+#ifndef QUCLEAR_TESTS_REFERENCE_TABLEAU_HPP
+#define QUCLEAR_TESTS_REFERENCE_TABLEAU_HPP
 
 #include <cstdint>
 #include <vector>
@@ -88,4 +88,4 @@ class ReferenceTableau
 
 } // namespace quclear
 
-#endif // QUCLEAR_TABLEAU_REFERENCE_TABLEAU_HPP
+#endif // QUCLEAR_TESTS_REFERENCE_TABLEAU_HPP

@@ -19,9 +19,9 @@
 
 #include "benchgen/suite.hpp"
 #include "core/clifford_extractor.hpp"
+#include "reference_tableau.hpp"
 #include "tableau/clifford_tableau.hpp"
 #include "tableau/packed_tableau.hpp"
-#include "tableau/reference_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 #include "util/worker_pool.hpp"

@@ -12,8 +12,8 @@
 #include <cmath>
 #include <vector>
 
+#include "reference_stabilizer_simulator.hpp"
 #include "sim/noise_model.hpp"
-#include "tableau/reference_stabilizer_simulator.hpp"
 #include "tableau/stabilizer_simulator.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"

@@ -19,7 +19,7 @@
 #include <string>
 
 #include "pauli/pauli_string.hpp"
-#include "tableau/reference_stabilizer_simulator.hpp"
+#include "reference_stabilizer_simulator.hpp"
 #include "tableau/stabilizer_simulator.hpp"
 #include "util/rng.hpp"
 

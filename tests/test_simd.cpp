@@ -30,8 +30,13 @@
 namespace quclear {
 namespace {
 
-/** Word counts covering sub-vector, exact-vector, and tail shapes. */
-constexpr uint32_t kWordCounts[] = { 1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 33 };
+/**
+ * Word counts covering sub-vector, exact-vector, and tail shapes,
+ * including each side of the auto-vectorizer's unrolled 4- and 8-word
+ * loops and their scalar epilogues (15/16/17, 31/32/33, 63/64/65).
+ */
+constexpr uint32_t kWordCounts[] = { 1,  2,  3,  4,  5,  7,  8,  9,  12,
+                                     15, 16, 17, 31, 32, 33, 63, 64, 65 };
 
 /** Qubit widths for the engine-level forced-dispatch checks. */
 constexpr uint32_t kQubitCounts[] = { 1, 63, 64, 65, 127, 128, 129, 256 };

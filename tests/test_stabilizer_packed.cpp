@@ -18,7 +18,7 @@
 #include <map>
 #include <vector>
 
-#include "tableau/reference_stabilizer_simulator.hpp"
+#include "reference_stabilizer_simulator.hpp"
 #include "tableau/stabilizer_simulator.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
