@@ -4,16 +4,17 @@
  * complexity the paper quotes: tableau gate appends (bit-sliced O(n/64)
  * vs the row-major reference's O(n)), Pauli conjugation through a
  * tableau (O(n^2) bound, Sec. V-D), CNOT-tree synthesis, full Clifford
- * Extraction throughput, and CA-Post bitstring remapping (O(mk),
- * Sec. VI-B).
+ * Extraction throughput, CA-Post bitstring remapping (O(mk),
+ * Sec. VI-B), and entangling-depth scheduling.
  *
  * The Packed/Reference benchmark pairs measure the bit-sliced engine
  * against the preserved row-major seed implementation on identical gate
- * and Pauli streams; the ...Batch variants record the batched
- * conjugation kernel against its scalar counterpart. CI records them
- * as JSON via
+ * and Pauli streams, and the DepthScheduling pair measures the run-DAG
+ * scheduler against the seed pairwise-DAG one; the ...Batch variants
+ * record the batched conjugation kernel against its scalar
+ * counterpart. CI records them as JSON via
  *   bench_micro \
- *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|Absorb' \
+ *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|Absorb|StabilizerSim|SimdPauli|DepthScheduling' \
  *     --benchmark_out=BENCH_tableau.json --benchmark_out_format=json
  */
 #include <benchmark/benchmark.h>
@@ -29,12 +30,14 @@
 #include "mapping/devices.hpp"
 #include "mapping/sabre_router.hpp"
 #include "pauli/pauli_term.hpp"
+#include "reference_depth_scheduling.hpp"
 #include "reference_stabilizer_simulator.hpp"
 #include "reference_tableau.hpp"
 #include "sim/noise_model.hpp"
 #include "sim/statevector.hpp"
 #include "tableau/packed_tableau.hpp"
 #include "tableau/stabilizer_simulator.hpp"
+#include "transpile/depth_scheduling.hpp"
 #include "util/rng.hpp"
 #include "util/simd_dispatch.hpp"
 
@@ -432,6 +435,69 @@ BM_SabreRouting(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * qc.size());
 }
 BENCHMARK(BM_SabreRouting)->Arg(100)->Arg(400);
+
+/**
+ * Fixed-seed 12-qubit circuit in the U' gate vocabulary (H, S, Rz,
+ * CX; CX on two draws in five), the input of the depth schedulers
+ * below.
+ */
+QuantumCircuit
+scheduleInput(size_t gates)
+{
+    const uint32_t n = 12;
+    Rng rng(31);
+    QuantumCircuit qc(n);
+    while (qc.size() < gates) {
+        const uint32_t q = static_cast<uint32_t>(rng.uniformInt(n));
+        switch (rng.uniformInt(5)) {
+          case 0: qc.h(q); break;
+          case 1: qc.s(q); break;
+          case 2: qc.rz(q, rng.uniformReal(-3, 3)); break;
+          default: {
+            const uint32_t r = static_cast<uint32_t>(rng.uniformInt(n));
+            if (r != q)
+                qc.cx(q, r);
+            break;
+          }
+        }
+    }
+    return qc;
+}
+
+/** One scheduling pass per iteration (the input copy is included). */
+template <typename Scheduler>
+void
+depthScheduling(benchmark::State &state)
+{
+    const QuantumCircuit input =
+        scheduleInput(static_cast<size_t>(state.range(0)));
+    const Scheduler scheduler;
+    for (auto _ : state) {
+        QuantumCircuit qc = input;
+        benchmark::DoNotOptimize(scheduler.run(qc));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(input.size()));
+}
+
+void
+BM_DepthScheduling(benchmark::State &state)
+{
+    depthScheduling<DepthScheduling>(state);
+}
+BENCHMARK(BM_DepthScheduling)
+    ->Arg(2000)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_ReferenceDepthScheduling(benchmark::State &state)
+{
+    depthScheduling<ReferenceDepthScheduling>(state);
+}
+BENCHMARK(BM_ReferenceDepthScheduling)
+    ->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_StatevectorGate(benchmark::State &state)

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -124,6 +125,28 @@ evalAngle(const std::string &expr_in)
     return value;
 }
 
+/**
+ * A bracketed register size or qubit index: decimal digits only
+ * (surrounding blanks allowed). nullopt when the text is not such a
+ * number or exceeds kMaxQasmQubits, so no value can wrap around.
+ */
+std::optional<uint64_t>
+parseIndex(const std::string &text)
+{
+    const std::string digits = trim(text);
+    if (digits.empty())
+        return std::nullopt;
+    uint64_t value = 0;
+    for (char c : digits) {
+        if (!std::isdigit(static_cast<unsigned char>(c)))
+            return std::nullopt;
+        value = value * 10 + static_cast<uint64_t>(c - '0');
+        if (value > kMaxQasmQubits)
+            return std::nullopt;
+    }
+    return value;
+}
+
 /** Parse "q[3]" (or "name[3]") and return the index. */
 uint32_t
 parseQubit(const std::string &token, const std::string &reg_name,
@@ -137,10 +160,10 @@ parseQubit(const std::string &token, const std::string &reg_name,
         fail("malformed qubit reference '" + t + "'");
     if (t.substr(0, open) != reg_name)
         fail("unknown register '" + t.substr(0, open) + "'");
-    const long idx = std::strtol(t.substr(open + 1).c_str(), nullptr, 10);
-    if (idx < 0 || static_cast<uint32_t>(idx) >= reg_size)
+    const auto idx = parseIndex(t.substr(open + 1, close - open - 1));
+    if (!idx || *idx >= reg_size)
         fail("qubit index out of range in '" + t + "'");
-    return static_cast<uint32_t>(idx);
+    return static_cast<uint32_t>(*idx);
 }
 
 } // namespace
@@ -204,13 +227,18 @@ fromQasm(const std::string &source)
                 fail("multiple qreg declarations are not supported");
             const size_t open = stmt.find('[');
             const size_t close = stmt.find(']');
-            if (open == std::string::npos || close == std::string::npos)
+            if (open == std::string::npos || close == std::string::npos ||
+                close < open)
                 fail("malformed qreg declaration");
             reg_name = trim(stmt.substr(4, open - 4));
-            reg_size = static_cast<uint32_t>(
-                std::strtoul(stmt.substr(open + 1).c_str(), nullptr, 10));
-            if (reg_size == 0)
+            const auto size =
+                parseIndex(stmt.substr(open + 1, close - open - 1));
+            if (!size)
+                fail("qreg size must be an integer of at most " +
+                     std::to_string(kMaxQasmQubits) + " in '" + stmt + "'");
+            if (*size == 0)
                 fail("qreg size must be positive");
+            reg_size = static_cast<uint32_t>(*size);
             qc = QuantumCircuit(reg_size);
             continue;
         }

@@ -78,10 +78,11 @@ struct QuClearOptions
     bool optimizeDepth = true;
 
     /**
-     * Gate-count cutoff for the depth scheduler (quadratic-ish cost).
-     * Default: 20000 gates — large enough for every fast-tier
-     * benchmark, small enough that paper-scale circuits skip straight
-     * to emission.
+     * Gate-count cutoff for the depth scheduler. Default: 20000 gates,
+     * so paper-scale circuits skip straight to emission. The scheduler
+     * itself runs in near-linear time; the cap stays because lifting it
+     * changes the compiled output of every instance above it, which
+     * needs its own measured change.
      */
     size_t depthSchedulingGateLimit = 20000;
 };

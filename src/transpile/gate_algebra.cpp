@@ -42,6 +42,19 @@ gateAxis(GateType t)
     }
 }
 
+GateAxis
+operandAxis(GateType t, bool on_q1)
+{
+    switch (t) {
+      case GateType::CX:
+        return on_q1 ? GateAxis::X : GateAxis::Z;
+      case GateType::CZ:
+        return GateAxis::Z;
+      default:
+        return gateAxis(t);
+    }
+}
+
 std::optional<double>
 axisAngle(const Gate &g)
 {

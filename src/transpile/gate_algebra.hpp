@@ -28,6 +28,20 @@ enum class GateAxis
 GateAxis gateAxis(GateType t);
 
 /**
+ * Commutation class of a gate on one of its operands: @p on_q1 selects
+ * q1 (the CX target) instead of q0. Single-qubit gates take their
+ * gateAxis; CX is Z on its control and X on its target; CZ is Z on
+ * both qubits; H and Swap are Other.
+ *
+ * For any two gates that are not Swap, gatesCommute holds exactly when
+ * their classes agree on every shared qubit (H agrees only with H, and
+ * identical gates commute). DepthScheduling builds its dependency DAG
+ * on this rule; test_transpile checks it exhaustively against
+ * gatesCommute.
+ */
+GateAxis operandAxis(GateType t, bool on_q1);
+
+/**
  * Rotation-equivalent angle of a 1q gate about its axis, up to global
  * phase: S = Rz(pi/2), X = Rx(pi), Y = Ry(pi), ... For parameterized
  * types the gate's own angle applies; nullopt for H / two-qubit gates.

@@ -149,6 +149,46 @@ TEST(QasmImportTest, ErrorsOnMalformedInput)
                  std::invalid_argument);
 }
 
+TEST(QasmImportTest, RegisterSizeIsOverflowChecked)
+{
+    // 2^32 + 2 once wrapped to a 2-qubit register and parsed cleanly.
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[4294967298]; h q[0];"),
+                 std::invalid_argument);
+    // Fits in 32 bits, but far past the cap: rejected before any
+    // allocation is attempted.
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[4000000000]; h q[0];"),
+                 std::invalid_argument);
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[99999999999999999999999];"),
+                 std::invalid_argument);
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[65537]; h q[0];"),
+                 std::invalid_argument);
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[-2]; h q[0];"),
+                 std::invalid_argument);
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[2x]; h q[0];"),
+                 std::invalid_argument);
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[]; h q[0];"),
+                 std::invalid_argument);
+
+    const QuantumCircuit at_cap = fromQasm(
+        "OPENQASM 2.0; qreg q[65536]; h q[65535]; cx q[0], q[65535];");
+    EXPECT_EQ(at_cap.numQubits(), kMaxQasmQubits);
+    ASSERT_EQ(at_cap.size(), 2u);
+    EXPECT_EQ(at_cap.gate(0).q0, 65535u);
+    EXPECT_EQ(fromQasm("OPENQASM 2.0; qreg q[ 3 ]; x q[ 2 ];").numQubits(),
+              3u);
+}
+
+TEST(QasmImportTest, QubitIndexIsOverflowChecked)
+{
+    // 2^32 + 1 once wrapped to qubit 1 of the register.
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[2]; h q[4294967297];"),
+                 std::invalid_argument);
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[2]; h q[-1];"),
+                 std::invalid_argument);
+    EXPECT_THROW(fromQasm("OPENQASM 2.0; qreg q[2]; h q[1x];"),
+                 std::invalid_argument);
+}
+
 TEST(QasmImportTest, SemanticRoundTrip)
 {
     // The parsed circuit must implement the same unitary.

@@ -339,6 +339,12 @@ TEST(JobRunner, RunnerErrorCodes)
         const char *code;
     } kCases[] = {
         {R"({"qasm":"OPENQASM 2.0; bad"})", "qasm-parse"},
+        // Rejected by the importer's register cap, not by a failed
+        // allocation (which would surface as "internal").
+        {R"({"qasm":"OPENQASM 2.0;\nqreg q[4000000000];\nh q[0];\n"})",
+         "qasm-parse"},
+        {R"({"qasm":"OPENQASM 2.0;\nqreg q[4294967298];\nh q[0];\n"})",
+         "qasm-parse"},
         {R"({"qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\n)"
          R"(qreg q[2];\nccz q[0],q[1];\n"})",
          "unsupported-gate"},

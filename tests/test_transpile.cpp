@@ -6,12 +6,16 @@
  */
 #include <gtest/gtest.h>
 
+#include "core/quclear.hpp"
+#include "reference_depth_scheduling.hpp"
 #include "sim/statevector.hpp"
 #include "tableau/clifford_tableau.hpp"
+#include "test_support.hpp"
 #include "transpile/commutative_cancellation.hpp"
 #include "circuit/circuit_stats.hpp"
 #include "transpile/cx_cancellation.hpp"
 #include "transpile/depth_scheduling.hpp"
+#include "transpile/gate_algebra.hpp"
 #include "transpile/hadamard_rewrite.hpp"
 #include "transpile/pass_manager.hpp"
 #include "transpile/phase_rotation_folding.hpp"
@@ -552,6 +556,142 @@ TEST(DepthSchedulingTest, NeverIncreasesDepthOnRandomCircuits)
         pass.run(qc);
         EXPECT_LE(entanglingDepth(qc), before_depth);
         EXPECT_TRUE(circuitsEquivalent(before, qc));
+    }
+}
+
+/** The circuit with every Swap dropped (the scheduler's exact domain). */
+QuantumCircuit
+withoutSwaps(const QuantumCircuit &qc)
+{
+    QuantumCircuit out(qc.numQubits());
+    for (const Gate &g : qc.gates())
+        if (g.type != GateType::Swap)
+            out.append(g);
+    return out;
+}
+
+/**
+ * Run the production and the reference scheduler on copies of @p qc and
+ * require the same return value and the same circuit, gate for gate.
+ * @return whether the schedulers rewrote the circuit
+ */
+bool
+expectSchedulersAgree(const QuantumCircuit &qc)
+{
+    QuantumCircuit fast = qc;
+    QuantumCircuit reference = qc;
+    const bool fast_changed = DepthScheduling().run(fast);
+    const bool reference_changed = ReferenceDepthScheduling().run(reference);
+    EXPECT_EQ(fast_changed, reference_changed);
+    expectSameCircuit(fast, reference);
+    return fast_changed;
+}
+
+TEST(DepthSchedulingTest, OperandAxisMatchesGatesCommute)
+{
+    // Every ordered pair of non-Swap gate types in every placement on
+    // three qubits: classes agree on all shared qubits iff the gates
+    // commute. The scheduler's run DAG rests on this equivalence.
+    const GateType kTypes[] = {
+        GateType::H,  GateType::S,    GateType::Sdg, GateType::X,
+        GateType::Y,  GateType::Z,    GateType::SX,  GateType::SXdg,
+        GateType::Rz, GateType::Rx,   GateType::Ry,  GateType::CX,
+        GateType::CZ,
+    };
+    auto placements = [](GateType t, double angle) {
+        std::vector<Gate> out;
+        for (uint32_t a = 0; a < 3; ++a) {
+            if (!isTwoQubit(t)) {
+                out.emplace_back(t, a, isParameterized(t) ? angle : 0.0);
+                continue;
+            }
+            for (uint32_t b = 0; b < 3; ++b)
+                if (b != a)
+                    out.emplace_back(t, a, b);
+        }
+        return out;
+    };
+    auto operands = [](const Gate &g) {
+        std::vector<std::pair<uint32_t, GateAxis>> out = {
+            { g.q0, operandAxis(g.type, false) }
+        };
+        if (isTwoQubit(g.type))
+            out.emplace_back(g.q1, operandAxis(g.type, true));
+        return out;
+    };
+    size_t pairs = 0;
+    for (GateType ta : kTypes) {
+        for (GateType tb : kTypes) {
+            for (const Gate &a : placements(ta, 0.3)) {
+                for (const Gate &b : placements(tb, 0.7)) {
+                    bool agree = true;
+                    for (const auto &[qa, ca] : operands(a))
+                        for (const auto &[qb, cb] : operands(b))
+                            if (qa == qb && ca != cb)
+                                agree = false;
+                    EXPECT_EQ(agree, gatesCommute(a, b))
+                        << gateName(a.type) << "(" << a.q0 << "," << a.q1
+                        << ") vs " << gateName(b.type) << "(" << b.q0
+                        << "," << b.q1 << ")";
+                    ++pairs;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(pairs, (11u * 3 + 2u * 6) * (11u * 3 + 2u * 6));
+}
+
+TEST(DepthSchedulingTest, MatchesReferenceOnRandomCircuits)
+{
+    Rng rng(1409);
+    size_t changed = 0;
+    for (int trial = 0; trial < 2400; ++trial) {
+        const uint32_t n = static_cast<uint32_t>(rng.uniformRange(2, 8));
+        const size_t gates = static_cast<size_t>(rng.uniformRange(1, 120));
+        const QuantumCircuit qc = trial % 2 == 0
+            ? randomCircuit(n, gates, rng)
+            : withoutSwaps(randomRichCircuit(n, gates, rng));
+        changed += expectSchedulersAgree(qc) ? 1 : 0;
+        if (HasFatalFailure())
+            return;
+    }
+    // The comparison must cover rewritten circuits, not just no-ops.
+    EXPECT_GT(changed, 400u);
+}
+
+TEST(DepthSchedulingTest, MatchesReferenceOnLargeCircuit)
+{
+    Rng rng(2718);
+    const QuantumCircuit qc = randomCircuit(12, 5000, rng);
+    EXPECT_TRUE(expectSchedulersAgree(qc));
+}
+
+TEST(DepthSchedulingTest, MatchesReferenceOnCompiledCircuit)
+{
+    // U' straight out of extraction and the level-3 passes, before the
+    // pipeline's own scheduling step.
+    Rng rng(91);
+    QuClearOptions options;
+    options.optimizeDepth = false;
+    const CompiledProgram program =
+        QuClear(options).compile(randomSupportTerms(10, 150, 0.6, rng));
+    EXPECT_TRUE(expectSchedulersAgree(program.circuit()));
+}
+
+TEST(DepthSchedulingTest, SwapCircuitsStayEquivalentAndNoDeeper)
+{
+    // Swap gets a run of its own, so with Swap the pass may order more
+    // than the reference; it must still preserve the unitary and never
+    // add depth.
+    Rng rng(57);
+    for (int trial = 0; trial < 300; ++trial) {
+        const uint32_t n = static_cast<uint32_t>(rng.uniformRange(2, 6));
+        const size_t gates = static_cast<size_t>(rng.uniformRange(1, 60));
+        QuantumCircuit qc = randomRichCircuit(n, gates, rng);
+        const QuantumCircuit before = qc;
+        DepthScheduling().run(qc);
+        EXPECT_TRUE(circuitsEquivalent(before, qc)) << "trial " << trial;
+        EXPECT_LE(entanglingDepth(qc), entanglingDepth(before));
     }
 }
 
