@@ -89,7 +89,6 @@ runMcSamplerStage(quclear::bench::BenchReport &report,
     mc["tail_gates"] = tail.size();
     mc["qubits"] = tail.numQubits();
     mc["shots"] = shots;
-    mc["shot_block"] = options.shotBlock;
     mc["threads"] = resolved;
     mc["simd_level"] = simd::levelName(simd::activeLevel());
     mc["expectation"] = batched.expectation;

@@ -35,7 +35,7 @@
 #include "reference_tableau.hpp"
 #include "sim/noise_model.hpp"
 #include "sim/statevector.hpp"
-#include "tableau/packed_tableau.hpp"
+#include "tableau/clifford_tableau.hpp"
 #include "tableau/stabilizer_simulator.hpp"
 #include "transpile/depth_scheduling.hpp"
 #include "util/rng.hpp"
@@ -118,7 +118,7 @@ tableauAppendCx(benchmark::State &state)
 void
 BM_PackedTableauAppendCx(benchmark::State &state)
 {
-    tableauAppendCx<PackedTableau>(state);
+    tableauAppendCx<CliffordTableau>(state);
 }
 BENCHMARK(BM_PackedTableauAppendCx)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
@@ -146,7 +146,7 @@ tableauConjugate(benchmark::State &state)
 void
 BM_PackedTableauConjugate(benchmark::State &state)
 {
-    tableauConjugate<PackedTableau>(state);
+    tableauConjugate<CliffordTableau>(state);
 }
 BENCHMARK(BM_PackedTableauConjugate)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
@@ -173,7 +173,7 @@ BM_PackedTableauConjugateBatch(benchmark::State &state)
     const uint32_t n = static_cast<uint32_t>(state.range(0));
     const size_t batch = static_cast<size_t>(state.range(1));
     Rng rng(2);
-    PackedTableau t(n);
+    CliffordTableau t(n);
     scrambleTableau(t, n, 2);
     std::vector<PauliString> inputs;
     for (size_t i = 0; i < batch; ++i)
@@ -223,7 +223,7 @@ tableauAppendConjugate(benchmark::State &state)
 void
 BM_PackedTableauAppendConjugate(benchmark::State &state)
 {
-    tableauAppendConjugate<PackedTableau>(state);
+    tableauAppendConjugate<CliffordTableau>(state);
 }
 BENCHMARK(BM_PackedTableauAppendConjugate)->Arg(64)->Arg(128)->Arg(256);
 
@@ -654,7 +654,7 @@ simdTableauAppendCx(benchmark::State &state, simd::Level lvl)
         state.SkipWithError("dispatch level unsupported on this host");
         return;
     }
-    tableauAppendCx<PackedTableau>(state);
+    tableauAppendCx<CliffordTableau>(state);
     simd::resetLevel();
 }
 
@@ -665,7 +665,7 @@ simdTableauConjugate(benchmark::State &state, simd::Level lvl)
         state.SkipWithError("dispatch level unsupported on this host");
         return;
     }
-    tableauConjugate<PackedTableau>(state);
+    tableauConjugate<CliffordTableau>(state);
     simd::resetLevel();
 }
 
@@ -691,7 +691,7 @@ simdTableauConjugateBatchSparse(benchmark::State &state, simd::Level lvl)
     const size_t batch = static_cast<size_t>(state.range(1));
     const auto weight = static_cast<uint32_t>(state.range(2));
     Rng rng(12);
-    PackedTableau t(n);
+    CliffordTableau t(n);
     scrambleTableau(t, n, 12);
     std::vector<PauliString> inputs;
     for (size_t i = 0; i < batch; ++i) {
@@ -721,11 +721,11 @@ simdTableauCompose(benchmark::State &state, simd::Level lvl)
         return;
     }
     const uint32_t n = static_cast<uint32_t>(state.range(0));
-    PackedTableau a(n), b(n);
+    CliffordTableau a(n), b(n);
     scrambleTableau(a, n, 13);
     scrambleTableau(b, n, 14);
     for (auto _ : state) {
-        PackedTableau c = a;
+        CliffordTableau c = a;
         c.composeWith(b);
         benchmark::DoNotOptimize(&c);
     }

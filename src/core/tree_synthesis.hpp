@@ -105,7 +105,6 @@ class TreeSynthesizer
 
   private:
     uint32_t synth(const std::vector<uint32_t> &idxs, uint32_t depth);
-    uint32_t synthSameSet(const std::vector<uint32_t> &idxs, uint32_t depth);
     uint32_t exhaustive(const std::vector<uint32_t> &idxs);
     uint32_t beam(const std::vector<uint32_t> &idxs);
     uint32_t chain(const std::vector<uint32_t> &idxs);

@@ -11,6 +11,12 @@ namespace quclear {
 
 namespace {
 
+/** Shots per block: a block is the unit of parallel work and of result
+ *  combination. The combine is an exact integer sum in block order, so
+ *  results are bit-identical for every thread count (and would be for
+ *  any block size). */
+constexpr size_t kShotBlock = 1024;
+
 /** The observable's letters at a fault site, pulled back through every
  *  later gate (identity = 0 in the x | z<<1 code). */
 struct SiteLetters
@@ -176,15 +182,14 @@ NoiseModel::noisyStabilizerExpectation(const QuantumCircuit &qc,
         ideal = pulled.phase() == 0 ? 1 : -1;
     }
 
-    const size_t block = options.shotBlock > 0 ? options.shotBlock : 1;
-    const size_t num_blocks = (shots + block - 1) / block;
+    const size_t num_blocks = (shots + kShotBlock - 1) / kShotBlock;
     std::vector<int64_t> block_sum(num_blocks, 0);
     std::vector<size_t> block_events(num_blocks, 0);
 
     const auto run_blocks = [&](size_t begin, size_t end) {
         for (size_t b = begin; b < end; ++b) {
-            const size_t first = b * block;
-            const size_t last = std::min(shots, first + block);
+            const size_t first = b * kShotBlock;
+            const size_t last = std::min(shots, first + kShotBlock);
             int64_t sum = 0;
             size_t events = 0;
             for (size_t shot = first; shot < last; ++shot) {
@@ -213,9 +218,7 @@ NoiseModel::noisyStabilizerExpectation(const QuantumCircuit &qc,
         }
     };
 
-    if (options.pool != nullptr) {
-        options.pool->parallelFor(num_blocks, run_blocks);
-    } else if (options.threads != 1) {
+    if (options.threads != 1) {
         WorkerPool pool(options.threads);
         pool.parallelFor(num_blocks, run_blocks);
     } else {
@@ -223,7 +226,7 @@ NoiseModel::noisyStabilizerExpectation(const QuantumCircuit &qc,
     }
 
     // Exact integer combine in block order: bit-identical for every
-    // threads / shotBlock split of the same shot set.
+    // thread count over the same shot set.
     int64_t signed_total = 0;
     for (size_t b = 0; b < num_blocks; ++b) {
         signed_total += block_sum[b];

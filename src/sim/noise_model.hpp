@@ -24,8 +24,6 @@
 
 namespace quclear {
 
-class WorkerPool;
-
 /** Per-gate depolarizing error rates (defaults ~ current superconducting
  *  hardware: 0.03% per 1q gate, 0.5% per 2q gate). */
 struct NoiseModel
@@ -79,26 +77,15 @@ struct NoiseModel
         size_t faultSites = 0;
     };
 
-    /** Shot batching and parallelism knobs of the Monte-Carlo sampler. */
+    /** Seed and parallelism of the Monte-Carlo sampler. */
     struct SamplerOptions
     {
         /** Master seed; shot s draws from Rng(shotSeed(seed, s)). */
         uint64_t seed = 1;
 
         /** Worker threads for the shot blocks: 0 = hardware
-         *  concurrency, 1 = inline (no pool), N = exactly N. Ignored
-         *  when @ref pool is set. */
+         *  concurrency, 1 = inline (no pool), N = exactly N. */
         uint32_t threads = 1;
-
-        /** Shots per block (a block is the unit of parallel work and
-         *  of result combination; the combine is an exact integer sum
-         *  in block order, so results are bit-identical for every
-         *  threads / shotBlock choice). */
-        size_t shotBlock = 1024;
-
-        /** Replay blocks on this shared pool instead of a private one
-         *  (the service scheduler path). */
-        WorkerPool *pool = nullptr;
     };
 
     /**
@@ -132,7 +119,7 @@ struct NoiseModel
      * that anticommute with the pulled-back observable at their site.
      * A shot is then a pass over the per-gate fault channels — no
      * simulator state at all — and shots are replayed in independent
-     * blocks (see SamplerOptions) with per-shot counter-based RNG
+     * blocks of 1024 shots with per-shot counter-based RNG
      * streams, so the result is bit-identical for every thread count.
      */
     NoisySimResult noisyStabilizerExpectation(

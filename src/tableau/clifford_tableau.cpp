@@ -1,4 +1,4 @@
-#include "tableau/packed_tableau.hpp"
+#include "tableau/clifford_tableau.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -46,7 +46,7 @@ sparseConjugateRowLimit(uint32_t num_qubits)
 
 } // namespace
 
-PackedTableau::PackedTableau(uint32_t num_qubits)
+CliffordTableau::CliffordTableau(uint32_t num_qubits)
     : numQubits_(num_qubits), words_(wordsForRows(num_qubits)),
       x_(static_cast<size_t>(num_qubits) * words_, 0),
       z_(static_cast<size_t>(num_qubits) * words_, 0),
@@ -61,10 +61,10 @@ PackedTableau::PackedTableau(uint32_t num_qubits)
     }
 }
 
-PackedTableau
-PackedTableau::fromCircuit(const QuantumCircuit &qc)
+CliffordTableau
+CliffordTableau::fromCircuit(const QuantumCircuit &qc)
 {
-    PackedTableau t(qc.numQubits());
+    CliffordTableau t(qc.numQubits());
     t.appendCircuit(qc);
     return t;
 }
@@ -76,7 +76,7 @@ PackedTableau::fromCircuit(const QuantumCircuit &qc)
 // the update itself.
 
 void
-PackedTableau::appendH(uint32_t q)
+CliffordTableau::appendH(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
@@ -89,7 +89,7 @@ PackedTableau::appendH(uint32_t q)
 }
 
 void
-PackedTableau::appendS(uint32_t q)
+CliffordTableau::appendS(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
@@ -102,7 +102,7 @@ PackedTableau::appendS(uint32_t q)
 }
 
 void
-PackedTableau::appendSdg(uint32_t q)
+CliffordTableau::appendSdg(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
@@ -115,7 +115,7 @@ PackedTableau::appendSdg(uint32_t q)
 }
 
 void
-PackedTableau::appendX(uint32_t q)
+CliffordTableau::appendX(uint32_t q)
 {
     // X anticommutes with Z and Y.
     const uint64_t *zc = &z_[q * words_];
@@ -127,7 +127,7 @@ PackedTableau::appendX(uint32_t q)
 }
 
 void
-PackedTableau::appendY(uint32_t q)
+CliffordTableau::appendY(uint32_t q)
 {
     // Y anticommutes with X and Z.
     const uint64_t *xc = &x_[q * words_];
@@ -140,7 +140,7 @@ PackedTableau::appendY(uint32_t q)
 }
 
 void
-PackedTableau::appendZ(uint32_t q)
+CliffordTableau::appendZ(uint32_t q)
 {
     // Z anticommutes with X and Y.
     const uint64_t *xc = &x_[q * words_];
@@ -152,7 +152,7 @@ PackedTableau::appendZ(uint32_t q)
 }
 
 void
-PackedTableau::appendSqrtX(uint32_t q)
+CliffordTableau::appendSqrtX(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
@@ -165,7 +165,7 @@ PackedTableau::appendSqrtX(uint32_t q)
 }
 
 void
-PackedTableau::appendSqrtXdg(uint32_t q)
+CliffordTableau::appendSqrtXdg(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
@@ -178,7 +178,7 @@ PackedTableau::appendSqrtXdg(uint32_t q)
 }
 
 void
-PackedTableau::appendCX(uint32_t control, uint32_t target)
+CliffordTableau::appendCX(uint32_t control, uint32_t target)
 {
     assert(control != target);
     uint64_t *xc = &x_[control * words_];
@@ -196,7 +196,7 @@ PackedTableau::appendCX(uint32_t control, uint32_t target)
 }
 
 void
-PackedTableau::appendCZ(uint32_t a, uint32_t b)
+CliffordTableau::appendCZ(uint32_t a, uint32_t b)
 {
     assert(a != b);
     uint64_t *xa = &x_[a * words_];
@@ -214,7 +214,7 @@ PackedTableau::appendCZ(uint32_t a, uint32_t b)
 }
 
 void
-PackedTableau::appendSwap(uint32_t a, uint32_t b)
+CliffordTableau::appendSwap(uint32_t a, uint32_t b)
 {
     assert(a != b);
     uint64_t *xa = &x_[a * words_];
@@ -232,7 +232,7 @@ PackedTableau::appendSwap(uint32_t a, uint32_t b)
 }
 
 void
-PackedTableau::appendGate(const Gate &g)
+CliffordTableau::appendGate(const Gate &g)
 {
     switch (g.type) {
       case GateType::H:    appendH(g.q0); break;
@@ -252,7 +252,7 @@ PackedTableau::appendGate(const Gate &g)
 }
 
 void
-PackedTableau::appendCircuit(const QuantumCircuit &qc)
+CliffordTableau::appendCircuit(const QuantumCircuit &qc)
 {
     assert(qc.numQubits() == numQubits_);
     for (const Gate &g : qc.gates())
@@ -260,7 +260,7 @@ PackedTableau::appendCircuit(const QuantumCircuit &qc)
 }
 
 PauliString
-PackedTableau::rowAt(uint32_t r) const
+CliffordTableau::rowAt(uint32_t r) const
 {
     assert(r < 2 * numQubits_);
     PauliString p(numQubits_);
@@ -276,7 +276,7 @@ PackedTableau::rowAt(uint32_t r) const
 }
 
 void
-PackedTableau::setRow(uint32_t r, const PauliString &p)
+CliffordTableau::setRow(uint32_t r, const PauliString &p)
 {
     assert(r < 2 * numQubits_);
     assert(p.phase() == 0 || p.phase() == 2);
@@ -299,8 +299,8 @@ PackedTableau::setRow(uint32_t r, const PauliString &p)
 }
 
 void
-PackedTableau::buildRowMask(const PauliString &p, uint64_t *mask,
-                            SupportIndex &idx) const
+CliffordTableau::buildRowMask(const PauliString &p, uint64_t *mask,
+                              SupportIndex &idx) const
 {
     // Row 2q selects the X_q image, row 2q+1 the Z_q image; interleave
     // p's x and z bits 32 qubits at a time. Only source words with any
@@ -332,19 +332,13 @@ PackedTableau::buildRowMask(const PauliString &p, uint64_t *mask,
 }
 
 PauliString
-PackedTableau::conjugate(const PauliString &p) const
+CliffordTableau::conjugate(const PauliString &p) const
 {
     assert(p.numQubits() == numQubits_);
 
-    // The result is the ordered product of the selected rows. Writing
-    // each Hermitian row R_j = (-1)^{s_j} i^{|x_j & z_j|} X^{x_j} Z^{z_j}
-    // and normal-ordering the product gives the closed form
-    //
-    //   phase = 2.sum s_j + sum_j |x_j & z_j| + 2.sum_{j<l} (z_j . x_l)
-    //           - |A & B|  + p.phase + |p.x & p.z|          (mod 4)
-    //
-    // with A = xor of x_j, B = xor of z_j — exactly the phase the
-    // row-major reference accumulates with sequential multiplications.
+    // P = i^{p.phase + |p.x & p.z|} X^{p.x} Z^{p.z}, so U P U~ is that
+    // phase times the ordered product of the selected rows (rowProduct
+    // gives its closed form).
     uint64_t mask_small[16]; // stack mask up to 512 qubits
     std::vector<uint64_t> mask_heap;
     uint64_t *mask = mask_small;
@@ -399,44 +393,145 @@ PackedTableau::conjugate(const PauliString &p) const
         if (!idx.hasWord(w))
             mask[w] = 0;
     }
-    const simd::Kernels &k = simd::active();
     PauliString result(numQubits_);
+    phase_acc += rowProduct(mask, &result);
+    result.setPhase(static_cast<uint8_t>(phase_acc & 3));
+    return result;
+}
+
+uint8_t
+CliffordTableau::rowProduct(const uint64_t *mask, PauliString *letters) const
+{
+    // Writing each Hermitian row
+    // R_j = (-1)^{s_j} i^{|x_j & z_j|} X^{x_j} Z^{z_j} and
+    // normal-ordering the product gives the closed form
+    //
+    //   phase = 2.sum s_j + sum_j |x_j & z_j| + 2.sum_{j<l} (z_j . x_l)
+    //           - |A & B|                                   (mod 4)
+    //
+    // with A = xor of x_j, B = xor of z_j — exactly the phase the
+    // row-major reference accumulates with sequential multiplications.
+    // One dispatched denseColumn kernel call per column.
+    const simd::Kernels &k = simd::active();
     uint32_t sign_rows = 0;  // rows contributing -1
     uint64_t y_rows = 0;     // sum of per-row |x_j & z_j|
     uint64_t y_result = 0;   // |A & B|
     uint64_t pair_fold = 0;  // XOR-fold of the per-word pair contributions
-    idx.forEachWord(
-        [&](uint32_t w) { sign_rows += popcnt(signs_[w] & mask[w]); });
+    for (uint32_t w = 0; w < words_; ++w)
+        sign_rows += popcnt(signs_[w] & mask[w]);
 
     for (uint32_t c = 0; c < numQubits_; ++c) {
         const simd::DenseColumnResult col = k.denseColumn(
             &x_[c * words_], &z_[c * words_], mask, words_);
         const uint8_t xbit = static_cast<uint8_t>(col.xParity);
         const uint8_t zbit = static_cast<uint8_t>(col.zParity);
-        if (xbit | zbit)
-            result.setOp(c, static_cast<PauliOp>(
-                                static_cast<uint8_t>(xbit | (zbit << 1))));
+        if (letters != nullptr && (xbit | zbit))
+            letters->setOp(c, static_cast<PauliOp>(static_cast<uint8_t>(
+                                  xbit | (zbit << 1))));
         y_rows += col.yCount;
         y_result += xbit & zbit;
         pair_fold ^= col.pairFold;
     }
 
     const uint64_t pair_parity = popcnt(pair_fold) & 1;
-    phase_acc += 2 * (sign_rows & 1) + y_rows + 2 * pair_parity +
-                 3 * (y_result & 3); // 3 == -1 mod 4
-    result.setPhase(static_cast<uint8_t>(phase_acc & 3));
-    return result;
+    return static_cast<uint8_t>((2 * (sign_rows & 1) + y_rows +
+                                 2 * pair_parity +
+                                 3 * (y_result & 3)) & // 3 == -1 mod 4
+                                3);
 }
 
-PackedTableau::RowMajor &
-PackedTableau::rowMajorScratch()
+void
+CliffordTableau::anticommuteParityPlane(const PauliString &p,
+                                        uint64_t *parity) const
+{
+    const simd::Kernels &k = simd::active();
+    std::fill(parity, parity + words_, 0);
+    p.forEachSupport([&](uint32_t c, PauliOp op) {
+        const uint64_t *xc = &x_[static_cast<size_t>(c) * words_];
+        const uint64_t *zc = &z_[static_cast<size_t>(c) * words_];
+        // Row r anticommutes per qubit as (x_r & z_p) ^ (z_r & x_p).
+        const auto code = static_cast<uint8_t>(op);
+        if (code == 3)
+            k.xorInto2(parity, xc, zc, words_);
+        else if (code & 1)
+            k.xorInto(parity, zc, words_);
+        else
+            k.xorInto(parity, xc, words_);
+    });
+}
+
+void
+CliffordTableau::multiplyMaskedByRow(uint32_t source_row,
+                                     const uint64_t *mask, uint64_t *acc0,
+                                     uint64_t *acc1)
+{
+    const simd::Kernels &k = simd::active();
+    const uint32_t wp = source_row >> 6;
+    const uint32_t bp = source_row & 63;
+    std::fill(acc0, acc0 + words_, 0);
+    std::fill(acc1, acc1 + words_, 0);
+    for (uint32_t c = 0; c < numQubits_; ++c) {
+        uint64_t *xc = &x_[static_cast<size_t>(c) * words_];
+        uint64_t *zc = &z_[static_cast<size_t>(c) * words_];
+        const auto bx = static_cast<uint32_t>((xc[wp] >> bp) & 1);
+        const auto bz = static_cast<uint32_t>((zc[wp] >> bp) & 1);
+        if ((bx | bz) == 0)
+            continue; // identity column of the source row
+        k.rowsumColumn(xc, zc, mask, bx, bz, acc0, acc1, words_);
+    }
+    // Fold the accumulated i-exponents into the signs. Every selected
+    // row commutes with the source row (stabilizers mutually commute;
+    // destabilizer i anticommutes only with stabilizer i, and the
+    // pivot pair is excluded from the mask), so each product of the
+    // two Hermitian rows is Hermitian: the low phase-plane bit is 0
+    // and acc1 alone carries the -1 factors.
+    const uint64_t source_sign =
+        0 - static_cast<uint64_t>((signs_[wp] >> bp) & 1);
+    for (uint32_t w = 0; w < words_; ++w) {
+        assert((acc0[w] & mask[w]) == 0 &&
+               "rowsum phase must stay Hermitian");
+        signs_[w] ^= (source_sign & mask[w]) ^ (acc1[w] & mask[w]);
+    }
+}
+
+void
+CliffordTableau::collapseAtPivot(uint32_t pivot_row,
+                                 const PauliString &observable, bool negative)
+{
+    // pivot_row is a stabilizer (odd) row, so its destabilizer partner
+    // pivot_row - 1 lives one bit lower in the same word.
+    const uint32_t w = pivot_row >> 6;
+    const uint32_t be = (pivot_row - 1) & 63;
+    const uint64_t pair = 3ULL << be;
+    const uint64_t destab_bit = 1ULL << be;
+    const uint64_t stab_bit = destab_bit << 1;
+    for (uint32_t c = 0; c < numQubits_; ++c) {
+        uint64_t &xw = x_[static_cast<size_t>(c) * words_ + w];
+        xw = (xw & ~pair) | ((xw >> 1) & destab_bit);
+        uint64_t &zw = z_[static_cast<size_t>(c) * words_ + w];
+        zw = (zw & ~pair) | ((zw >> 1) & destab_bit);
+    }
+    uint64_t &sw = signs_[w];
+    sw = (sw & ~pair) | ((sw >> 1) & destab_bit) |
+         (negative ? stab_bit : 0);
+    observable.forEachSupport([&](uint32_t c, PauliOp op) {
+        const auto code = static_cast<uint8_t>(op);
+        if (code & 1)
+            x_[static_cast<size_t>(c) * words_ + w] |= stab_bit;
+        if (code & 2)
+            z_[static_cast<size_t>(c) * words_ + w] |= stab_bit;
+    });
+}
+
+CliffordTableau::RowMajor &
+CliffordTableau::rowMajorScratch()
 {
     thread_local RowMajor scratch;
     return scratch;
 }
 
 void
-PackedTableau::buildRowMajor(RowMajor &out) const
+CliffordTableau::buildRowMajor(RowMajor &out) const
 {
     const simd::Kernels &k = simd::active();
     const uint32_t rw = wordsForColumns(numQubits_);
@@ -497,10 +592,10 @@ PackedTableau::buildRowMajor(RowMajor &out) const
 }
 
 void
-PackedTableau::conjugateViaRows(const RowMajor &rm, PauliString &p,
-                                uint64_t *mask, SupportIndex &idx,
-                                uint64_t *kscratch, uint64_t *out_x,
-                                uint64_t *out_z) const
+CliffordTableau::conjugateViaRows(const RowMajor &rm, PauliString &p,
+                                  uint64_t *mask, SupportIndex &idx,
+                                  uint64_t *kscratch, uint64_t *out_x,
+                                  uint64_t *out_z) const
 {
     assert(p.numQubits() == numQubits_);
     buildRowMask(p, mask, idx);
@@ -540,7 +635,7 @@ PackedTableau::conjugateViaRows(const RowMajor &rm, PauliString &p,
 }
 
 void
-PackedTableau::conjugateBatch(std::span<PauliString> terms) const
+CliffordTableau::conjugateBatch(std::span<PauliString> terms) const
 {
     // Below this size the transpose cannot amortize (its fixed cost is
     // roughly two scalar dense conjugations), so tiny batches take the
@@ -572,7 +667,7 @@ PackedTableau::conjugateBatch(std::span<PauliString> terms) const
 }
 
 void
-PackedTableau::prependGate(const Gate &g)
+CliffordTableau::prependGate(const Gate &g)
 {
     // T'(P) = T(g P g~): only generators touching g's qubits change.
     // The conjugated generators are low weight, so the sparse conjugate
@@ -602,7 +697,7 @@ PackedTableau::prependGate(const Gate &g)
 }
 
 void
-PackedTableau::composeWith(const PackedTableau &other)
+CliffordTableau::composeWith(const CliffordTableau &other)
 {
     assert(other.numQubits_ == numQubits_);
     // Fast paths for the chain-merge pattern: composing with the
@@ -628,14 +723,14 @@ PackedTableau::composeWith(const PackedTableau &other)
         setRow(r, rows[r]);
 }
 
-PackedTableau
-PackedTableau::inverse() const
+CliffordTableau
+CliffordTableau::inverse() const
 {
     return fromCircuit(toCircuit().inverse());
 }
 
 bool
-PackedTableau::isIdentity() const
+CliffordTableau::isIdentity() const
 {
     // Allocation-free scan (the old identity-tableau comparison built
     // three full-size vectors per call): identity means all signs +,
@@ -661,20 +756,20 @@ PackedTableau::isIdentity() const
 }
 
 bool
-PackedTableau::operator==(const PackedTableau &other) const
+CliffordTableau::operator==(const CliffordTableau &other) const
 {
     return numQubits_ == other.numQubits_ && x_ == other.x_ &&
            z_ == other.z_ && signs_ == other.signs_;
 }
 
 QuantumCircuit
-PackedTableau::toCircuit() const
+CliffordTableau::toCircuit() const
 {
     // Reduce a working copy to the identity tableau while recording the
     // appended gates; the circuit is then the reversed, inverted record.
     // Mirrors the row-major reference elimination step for step, so the
     // emitted gate sequence is identical for equal tableaux.
-    PackedTableau work = *this;
+    CliffordTableau work = *this;
     std::vector<Gate> record;
 
     auto emit = [&](const Gate &g) {

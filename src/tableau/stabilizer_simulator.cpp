@@ -1,13 +1,9 @@
 #include "tableau/stabilizer_simulator.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
 #include <map>
-#include <utility>
-
-#include "util/simd_dispatch.hpp"
 
 namespace quclear {
 
@@ -18,346 +14,48 @@ namespace {
 constexpr uint64_t kStabRows = 0xAAAAAAAAAAAAAAAAULL;
 constexpr uint64_t kDestabRows = 0x5555555555555555ULL;
 
-inline uint32_t
-popcnt(uint64_t v)
-{
-    return static_cast<uint32_t>(std::popcount(v));
-}
-
 } // namespace
 
-StabilizerSimulator::StabilizerSimulator(uint32_t num_qubits)
-    : numQubits_(num_qubits), words_(wordsForRows(num_qubits)),
-      x_(static_cast<size_t>(num_qubits) * words_, 0),
-      z_(static_cast<size_t>(num_qubits) * words_, 0),
-      signs_(words_, 0)
-{
-    // |0...0>: destabilizer i = +X_i (row 2i), stabilizer i = +Z_i
-    // (row 2i + 1).
-    for (uint32_t q = 0; q < num_qubits; ++q) {
-        const uint32_t rx = 2 * q;
-        const uint32_t rz = 2 * q + 1;
-        x_[q * words_ + (rx >> 6)] |= 1ULL << (rx & 63);
-        z_[q * words_ + (rz >> 6)] |= 1ULL << (rz & 63);
-    }
-}
-
-// Gate application conjugates every generator row at once, which in
-// the column layout is the same 1-2 column word folds PackedTableau
-// appends with (same kernels, same sign algebra — see the scalar
-// backend comments). A one-word state (n <= 32) keeps inline scalar
-// bodies: the indirect call would cost more than the update.
-
-void
-StabilizerSimulator::applyGate(const Gate &g)
-{
-    assert(isClifford(g.type) &&
-           "stabilizer simulator requires Clifford gates");
-    const simd::Kernels &k = simd::active();
-    uint64_t *s = signs_.data();
-    const uint32_t n = words_;
-    uint64_t *xa = &x_[static_cast<size_t>(g.q0) * n];
-    uint64_t *za = &z_[static_cast<size_t>(g.q0) * n];
-    switch (g.type) {
-      case GateType::H:
-        if (n == 1) {
-            s[0] ^= xa[0] & za[0]; // H: X <-> Z, Y -> -Y
-            std::swap(xa[0], za[0]);
-        } else {
-            k.appendH(xa, za, s, n);
-        }
-        break;
-      case GateType::S:
-        if (n == 1) {
-            s[0] ^= xa[0] & za[0]; // S: X -> Y, Y -> -X
-            za[0] ^= xa[0];
-        } else {
-            k.appendS(xa, za, s, n);
-        }
-        break;
-      case GateType::Sdg:
-        if (n == 1) {
-            s[0] ^= xa[0] & ~za[0]; // Sdg: X -> -Y, Y -> X
-            za[0] ^= xa[0];
-        } else {
-            k.appendSdg(xa, za, s, n);
-        }
-        break;
-      case GateType::X: // X anticommutes with Z and Y.
-        if (n == 1)
-            s[0] ^= za[0];
-        else
-            k.xorInto(s, za, n);
-        break;
-      case GateType::Y: // Y anticommutes with X and Z.
-        if (n == 1)
-            s[0] ^= xa[0] ^ za[0];
-        else
-            k.xorInto2(s, xa, za, n);
-        break;
-      case GateType::Z: // Z anticommutes with X and Y.
-        if (n == 1)
-            s[0] ^= xa[0];
-        else
-            k.xorInto(s, xa, n);
-        break;
-      case GateType::SX:
-        if (n == 1) {
-            s[0] ^= ~xa[0] & za[0]; // sqrt(X): Z -> -Y, Y -> Z
-            xa[0] ^= za[0];
-        } else {
-            k.appendSqrtX(xa, za, s, n);
-        }
-        break;
-      case GateType::SXdg:
-        if (n == 1) {
-            s[0] ^= xa[0] & za[0]; // sqrt(X)~: Z -> Y, Y -> -Z
-            xa[0] ^= za[0];
-        } else {
-            k.appendSqrtXdg(xa, za, s, n);
-        }
-        break;
-      case GateType::CX: {
-        assert(g.q0 != g.q1);
-        uint64_t *xt = &x_[static_cast<size_t>(g.q1) * n];
-        uint64_t *zt = &z_[static_cast<size_t>(g.q1) * n];
-        if (n == 1) {
-            // Aaronson-Gottesman: sign flips iff xc & zt & ~(xt ^ zc).
-            s[0] ^= xa[0] & zt[0] & ~(xt[0] ^ za[0]);
-            xt[0] ^= xa[0];
-            za[0] ^= zt[0];
-        } else {
-            k.appendCX(xa, za, xt, zt, s, n);
-        }
-        break;
-      }
-      case GateType::CZ: {
-        assert(g.q0 != g.q1);
-        uint64_t *xb = &x_[static_cast<size_t>(g.q1) * n];
-        uint64_t *zb = &z_[static_cast<size_t>(g.q1) * n];
-        if (n == 1) {
-            // CZ: sign flips iff xa & xb & (za ^ zb); za ^= xb, zb ^= xa.
-            s[0] ^= xa[0] & xb[0] & (za[0] ^ zb[0]);
-            za[0] ^= xb[0];
-            zb[0] ^= xa[0];
-        } else {
-            k.appendCZ(xa, za, xb, zb, s, n);
-        }
-        break;
-      }
-      case GateType::Swap: {
-        assert(g.q0 != g.q1);
-        uint64_t *xb = &x_[static_cast<size_t>(g.q1) * n];
-        uint64_t *zb = &z_[static_cast<size_t>(g.q1) * n];
-        if (n == 1) {
-            std::swap(xa[0], xb[0]);
-            std::swap(za[0], zb[0]);
-        } else {
-            k.swapWords(xa, xb, n);
-            k.swapWords(za, zb, n);
-        }
-        break;
-      }
-      default:
-        assert(false && "non-Clifford gate in stabilizer simulation");
-    }
-}
-
-void
-StabilizerSimulator::applyCircuit(const QuantumCircuit &qc)
-{
-    assert(qc.numQubits() == numQubits_);
-    for (const Gate &g : qc.gates())
-        applyGate(g);
-}
-
-PauliString
-StabilizerSimulator::rowAt(uint32_t r) const
-{
-    assert(r < 2 * numQubits_);
-    const uint32_t w = r >> 6;
-    const uint64_t bit = 1ULL << (r & 63);
-    PauliString p(numQubits_);
-    for (uint32_t c = 0; c < numQubits_; ++c) {
-        const uint8_t code = static_cast<uint8_t>(
-            ((x_[c * words_ + w] & bit) ? 1 : 0) |
-            ((z_[c * words_ + w] & bit) ? 2 : 0));
-        if (code)
-            p.setOp(c, static_cast<PauliOp>(code));
-    }
-    p.setPhase((signs_[w] & bit) ? 2 : 0);
-    return p;
-}
-
 uint64_t *
-StabilizerSimulator::scratchPlanes() const
+StabilizerSimulator::parityPlane(const PauliString &observable) const
 {
-    if (scratch_.size() != static_cast<size_t>(3) * words_)
-        scratch_.assign(static_cast<size_t>(3) * words_, 0);
+    assert(observable.numQubits() == numQubits());
+    const size_t words = tableau_.words_;
+    if (scratch_.size() != 3 * words)
+        scratch_.assign(3 * words, 0);
+    tableau_.anticommuteParityPlane(observable, scratch_.data());
     return scratch_.data();
 }
 
-void
-StabilizerSimulator::multiplyMaskedByRow(uint32_t source_row,
-                                         const uint64_t *mask,
-                                         uint64_t *acc0, uint64_t *acc1)
+int
+StabilizerSimulator::groupSign(const PauliString &observable,
+                               uint64_t *parity) const
 {
-    const simd::Kernels &k = simd::active();
-    const uint32_t wp = source_row >> 6;
-    const uint32_t bp = source_row & 63;
-    std::fill(acc0, acc0 + words_, 0);
-    std::fill(acc1, acc1 + words_, 0);
-    for (uint32_t c = 0; c < numQubits_; ++c) {
-        uint64_t *xc = &x_[static_cast<size_t>(c) * words_];
-        uint64_t *zc = &z_[static_cast<size_t>(c) * words_];
-        const auto bx = static_cast<uint32_t>((xc[wp] >> bp) & 1);
-        const auto bz = static_cast<uint32_t>((zc[wp] >> bp) & 1);
-        if ((bx | bz) == 0)
-            continue; // identity column of the source row
-        k.rowsumColumn(xc, zc, mask, bx, bz, acc0, acc1, words_);
-    }
-    // Fold the accumulated i-exponents into the signs. Every selected
-    // row commutes with the source row (stabilizers mutually commute;
-    // destabilizer i anticommutes only with stabilizer i, and the
-    // pivot pair is excluded from the mask), so each product of the
-    // two Hermitian rows is Hermitian: the low phase-plane bit is 0
-    // and acc1 alone carries the -1 factors.
-    const uint64_t source_sign =
-        0 - static_cast<uint64_t>((signs_[wp] >> bp) & 1);
-    for (uint32_t w = 0; w < words_; ++w) {
-        assert((acc0[w] & mask[w]) == 0 &&
-               "rowsum phase must stay Hermitian");
-        signs_[w] ^= (source_sign & mask[w]) ^ (acc1[w] & mask[w]);
-    }
-}
-
-void
-StabilizerSimulator::collapseAtPivot(uint32_t pivot_row, bool new_sign)
-{
-    // pivot_row is a stabilizer (odd) row, so its destabilizer partner
-    // pivot_row - 1 lives one bit lower in the same word.
-    const uint32_t w = pivot_row >> 6;
-    const uint32_t be = (pivot_row - 1) & 63;
-    const uint64_t pair = 3ULL << be;
-    const uint64_t destab_bit = 1ULL << be;
-    for (uint32_t c = 0; c < numQubits_; ++c) {
-        uint64_t &xw = x_[static_cast<size_t>(c) * words_ + w];
-        xw = (xw & ~pair) | ((xw >> 1) & destab_bit);
-        uint64_t &zw = z_[static_cast<size_t>(c) * words_ + w];
-        zw = (zw & ~pair) | ((zw >> 1) & destab_bit);
-    }
-    uint64_t &sw = signs_[w];
-    sw = (sw & ~pair) | ((sw >> 1) & destab_bit) |
-         (new_sign ? destab_bit << 1 : 0);
-}
-
-uint8_t
-StabilizerSimulator::selectedProductPhase(const uint64_t *mask,
-                                          const PauliString *expect) const
-{
-    // Closed-form phase of the ordered (ascending-row) product of the
-    // selected rows — the same algebra as PackedTableau's dense
-    // conjugate pass, with an identity seed string.
-    (void)expect; // assert-only
-    const simd::Kernels &k = simd::active();
-    const uint64_t sign_rows = k.popcountAnd(signs_.data(), mask, words_);
-    uint64_t y_rows = 0;
-    uint64_t y_result = 0;
-    uint64_t pair_fold = 0;
-    for (uint32_t c = 0; c < numQubits_; ++c) {
-        const simd::DenseColumnResult col =
-            k.denseColumn(&x_[static_cast<size_t>(c) * words_],
-                          &z_[static_cast<size_t>(c) * words_], mask,
-                          words_);
-        assert(!expect ||
-               (col.xParity == static_cast<uint32_t>(expect->xBit(c)) &&
-                col.zParity == static_cast<uint32_t>(expect->zBit(c))));
-        y_rows += col.yCount;
-        y_result += col.xParity & col.zParity;
-        pair_fold ^= col.pairFold;
-    }
-    const uint64_t pair_parity = popcnt(pair_fold) & 1;
-    return static_cast<uint8_t>((2 * (sign_rows & 1) + y_rows +
-                                 2 * pair_parity +
-                                 3 * (y_result & 3)) & // 3 == -1 mod 4
-                                3);
-}
-
-void
-StabilizerSimulator::anticommuteParityPlane(const PauliString &observable,
-                                            uint64_t *parity) const
-{
-    const simd::Kernels &k = simd::active();
-    std::fill(parity, parity + words_, 0);
-    observable.forEachSupport([&](uint32_t c, PauliOp op) {
-        const uint64_t *xc = &x_[static_cast<size_t>(c) * words_];
-        const uint64_t *zc = &z_[static_cast<size_t>(c) * words_];
-        // Row r anticommutes per qubit as (x_r & z_obs) ^ (z_r & x_obs).
-        const auto code = static_cast<uint8_t>(op);
-        if (code == 3)
-            k.xorInto2(parity, xc, zc, words_);
-        else if (code & 1)
-            k.xorInto(parity, zc, words_);
-        else
-            k.xorInto(parity, xc, words_);
-    });
+    for (uint32_t w = 0; w < tableau_.words_; ++w)
+        parity[w] = (parity[w] & kDestabRows) << 1;
+    const uint8_t phase = tableau_.rowProduct(parity, nullptr);
+    const auto diff =
+        static_cast<uint8_t>((phase - observable.phase()) & 3);
+    assert(diff == 0 || diff == 2);
+    return diff == 0 ? 1 : -1;
 }
 
 bool
 StabilizerSimulator::measure(uint32_t q, Rng &rng)
 {
-    assert(q < numQubits_);
-    const uint64_t *xq = &x_[static_cast<size_t>(q) * words_];
-
-    // A stabilizer with an X or Y at q anticommutes with Z_q: the
-    // outcome is random. The pivot is the lowest such stabilizer —
-    // ascending odd bits in ascending words is ascending i.
-    uint32_t pivot_row = 2 * numQubits_;
-    for (uint32_t w = 0; w < words_; ++w) {
-        const uint64_t bits = xq[w] & kStabRows;
-        if (bits) {
-            pivot_row =
-                64 * w + static_cast<uint32_t>(std::countr_zero(bits));
-            break;
-        }
-    }
-
-    uint64_t *mask = scratchPlanes();
-    uint64_t *acc0 = mask + words_;
-    uint64_t *acc1 = acc0 + words_;
-
-    if (pivot_row < 2 * numQubits_) {
-        // Random outcome. Every other row anticommuting with Z_q (x
-        // bit at q set) is multiplied by the pivot stabilizer to
-        // restore commutation; then the pivot pair collapses to
-        // (old stabilizer, +-Z_q).
-        for (uint32_t w = 0; w < words_; ++w)
-            mask[w] = xq[w];
-        mask[pivot_row >> 6] &= ~(3ULL << ((pivot_row - 1) & 63));
-        multiplyMaskedByRow(pivot_row, mask, acc0, acc1);
-        const bool outcome = rng() & 1;
-        collapseAtPivot(pivot_row, outcome);
-        z_[static_cast<size_t>(q) * words_ + (pivot_row >> 6)] |=
-            1ULL << (pivot_row & 63);
-        return outcome;
-    }
-
-    // Deterministic outcome: Z_q is the product of the stabilizers
-    // selected by the destabilizers that anticommute with Z_q; its
-    // phase gives the outcome.
-    for (uint32_t w = 0; w < words_; ++w)
-        mask[w] = (xq[w] & kDestabRows) << 1;
-    const uint8_t phase = selectedProductPhase(mask, nullptr);
-    assert(phase == 0 || phase == 2);
-    return phase == 2;
+    assert(q < numQubits());
+    zProbe_.setOp(q, PauliOp::Z);
+    const bool outcome = measurePauli(zProbe_, rng);
+    zProbe_.setOp(q, PauliOp::I);
+    return outcome;
 }
 
 uint64_t
 StabilizerSimulator::measureAll(Rng &rng)
 {
-    assert(numQubits_ <= 64);
+    assert(numQubits() <= 64);
     uint64_t bits = 0;
-    for (uint32_t q = 0; q < numQubits_; ++q)
+    for (uint32_t q = 0; q < numQubits(); ++q)
         if (measure(q, rng))
             bits |= 1ULL << q;
     return bits;
@@ -379,87 +77,54 @@ StabilizerSimulator::sample(const QuantumCircuit &qc, size_t shots,
 bool
 StabilizerSimulator::measurePauli(const PauliString &observable, Rng &rng)
 {
-    assert(observable.numQubits() == numQubits_);
     assert(observable.phase() == 0 || observable.phase() == 2);
-    uint64_t *parity = scratchPlanes();
-    uint64_t *acc0 = parity + words_;
-    uint64_t *acc1 = acc0 + words_;
-    anticommuteParityPlane(observable, parity);
+    uint64_t *parity = parityPlane(observable);
+    const uint32_t words = tableau_.words_;
 
     // Random outcome iff some stabilizer anticommutes with the
-    // observable; the update mirrors single-qubit measurement with Z_q
-    // replaced by the observable.
-    uint32_t pivot_row = 2 * numQubits_;
-    for (uint32_t w = 0; w < words_; ++w) {
+    // observable. The pivot is the lowest such stabilizer — ascending
+    // odd bits in ascending words is ascending i.
+    for (uint32_t w = 0; w < words; ++w) {
         const uint64_t bits = parity[w] & kStabRows;
-        if (bits) {
-            pivot_row =
-                64 * w + static_cast<uint32_t>(std::countr_zero(bits));
-            break;
-        }
-    }
-
-    if (pivot_row < 2 * numQubits_) {
-        // The parity plane minus the pivot pair IS the selection.
-        parity[pivot_row >> 6] &= ~(3ULL << ((pivot_row - 1) & 63));
-        multiplyMaskedByRow(pivot_row, parity, acc0, acc1);
+        if (bits == 0)
+            continue;
+        const uint32_t pivot_row =
+            64 * w + static_cast<uint32_t>(std::countr_zero(bits));
+        // Every other anticommuting row (the parity plane minus the
+        // pivot pair) is multiplied by the pivot stabilizer to restore
+        // commutation; then the pivot pair collapses to (old
+        // stabilizer, +-observable).
+        parity[w] &= ~(3ULL << ((pivot_row - 1) & 63));
+        tableau_.multiplyMaskedByRow(pivot_row, parity, parity + words,
+                                     parity + 2 * words);
         const bool outcome = rng() & 1;
-        collapseAtPivot(pivot_row, (((observable.phase() >> 1) & 1) ^
-                                    static_cast<uint8_t>(outcome)) != 0);
-        // Write the post-measurement stabilizer's letters into the
-        // cleared pivot row.
-        const uint32_t w = pivot_row >> 6;
-        const uint64_t bit = 1ULL << (pivot_row & 63);
-        observable.forEachSupport([&](uint32_t c, PauliOp op) {
-            const auto code = static_cast<uint8_t>(op);
-            if (code & 1)
-                x_[static_cast<size_t>(c) * words_ + w] |= bit;
-            if (code & 2)
-                z_[static_cast<size_t>(c) * words_ + w] |= bit;
-        });
+        tableau_.collapseAtPivot(pivot_row, observable,
+                                 (observable.phase() == 2) != outcome);
         return outcome;
     }
 
     // Deterministic: the observable (up to sign) is in the stabilizer
-    // group; its sign is read from the generating product.
-    const int value = expectation(observable);
-    assert(value != 0);
-    return value < 0;
+    // group; its sign is the outcome.
+    return groupSign(observable, parity) < 0;
 }
 
 void
 StabilizerSimulator::reset(uint32_t q, Rng &rng)
 {
-    if (measure(q, rng)) {
-        // Flip back to |0>.
-        applyGate({ GateType::X, q });
-    }
+    if (measure(q, rng))
+        tableau_.appendX(q); // flip back to |0>
 }
 
 int
 StabilizerSimulator::expectation(const PauliString &observable) const
 {
-    assert(observable.numQubits() == numQubits_);
     // <P> is +-1 iff +-P is in the stabilizer group, else 0. P is in
-    // the group iff it commutes with every stabilizer; its sign then
-    // follows from expressing P as the product of the stabilizers
-    // selected by the destabilizers it anticommutes with.
-    uint64_t *parity = scratchPlanes();
-    anticommuteParityPlane(observable, parity);
-
-    uint64_t stab_anticommute = 0;
-    for (uint32_t w = 0; w < words_; ++w)
-        stab_anticommute |= parity[w] & kStabRows;
-    if (stab_anticommute)
-        return 0;
-
-    for (uint32_t w = 0; w < words_; ++w)
-        parity[w] = (parity[w] & kDestabRows) << 1;
-    const uint8_t acc_phase = selectedProductPhase(parity, &observable);
-    const auto diff =
-        static_cast<uint8_t>((acc_phase - observable.phase()) & 3);
-    assert(diff == 0 || diff == 2);
-    return diff == 0 ? 1 : -1;
+    // the group iff it commutes with every stabilizer.
+    uint64_t *parity = parityPlane(observable);
+    for (uint32_t w = 0; w < tableau_.words_; ++w)
+        if (parity[w] & kStabRows)
+            return 0;
+    return groupSign(observable, parity);
 }
 
 } // namespace quclear

@@ -1,21 +1,21 @@
 /**
  * @file
- * Bit-sliced Aaronson-Gottesman stabilizer state simulator.
+ * Aaronson-Gottesman stabilizer state simulator.
  *
  * Simulates Clifford circuits in polynomial time (Gottesman-Knill),
  * which is the classical capability Clifford Absorption exploits: the
  * extracted subcircuit U_CL never needs to run on quantum hardware.
  *
- * The state is stored column-major with the PackedTableau interleaving
- * convention: for each qubit column c, the x and z bits of all 2n
- * generator rows — row 2i is destabilizer i, row 2i+1 stabilizer i —
- * are packed into ceil(2n/64) contiguous 64-bit words, plus one sign
- * bit per row (generators are Hermitian). Gate application touches
- * only the 1-2 affected columns through the dispatched SIMD kernel
- * table (O(2n/64) word ops instead of the row-major reference's O(n)
- * PauliString walks), measurement collapse is the broadcast row-sum
- * kernel over the anticommuting-row mask, and deterministic outcomes
- * read the closed-form product phase off the denseColumn kernel.
+ * The state is a CliffordTableau plus measurement. Starting from the
+ * identity tableau, the state U|0...0> has destabilizer i = U X_i U~
+ * (the tableau's imageX(i), row 2i) and stabilizer i = U Z_i U~
+ * (imageZ(i), row 2i+1), so applying a gate is the tableau's own
+ * append. Measurement collapses the rows with the tableau's
+ * stabilizer-state primitives (masked rowsum by the pivot stabilizer,
+ * pivot-pair collapse), and a deterministic outcome or an expectation
+ * is the sign of the ordered product of the stabilizers that the
+ * destabilizers select — the same closed form as the tableau's dense
+ * conjugate pass.
  *
  * RNG consumption is identical to ReferenceStabilizerSimulator (one
  * draw per random-outcome measurement, nothing else), so seeded runs
@@ -31,6 +31,7 @@
 
 #include "circuit/quantum_circuit.hpp"
 #include "pauli/pauli_string.hpp"
+#include "tableau/clifford_tableau.hpp"
 #include "util/rng.hpp"
 
 namespace quclear {
@@ -45,15 +46,21 @@ class StabilizerSimulator
 {
   public:
     /** |0...0> on n qubits. */
-    explicit StabilizerSimulator(uint32_t num_qubits);
+    explicit StabilizerSimulator(uint32_t num_qubits)
+        : tableau_(num_qubits), zProbe_(num_qubits)
+    {
+    }
 
-    uint32_t numQubits() const { return numQubits_; }
+    uint32_t numQubits() const { return tableau_.numQubits(); }
 
     /** Apply one Clifford gate. */
-    void applyGate(const Gate &g);
+    void applyGate(const Gate &g) { tableau_.appendGate(g); }
 
     /** Apply an entire Clifford circuit. */
-    void applyCircuit(const QuantumCircuit &qc);
+    void applyCircuit(const QuantumCircuit &qc)
+    {
+        tableau_.appendCircuit(qc);
+    }
 
     /**
      * Measure qubit q in the Z basis, collapsing the state.
@@ -89,67 +96,36 @@ class StabilizerSimulator
     /** Reset qubit q to |0> (measure, then flip if needed). */
     void reset(uint32_t q, Rng &rng);
 
-    /** @name Generator access for cross-check suites (materialized
-     * from the bit-sliced columns; row 2i / 2i+1 convention). @{ */
-    PauliString destabilizer(uint32_t i) const { return rowAt(2 * i); }
-    PauliString stabilizer(uint32_t i) const { return rowAt(2 * i + 1); }
+    /** @name Generators, materialized from the tableau rows. @{ */
+    PauliString destabilizer(uint32_t i) const { return tableau_.imageX(i); }
+    PauliString stabilizer(uint32_t i) const { return tableau_.imageZ(i); }
     /** @} */
 
   private:
-    /** Words per column: ceil(2n / 64). */
-    static uint32_t wordsForRows(uint32_t n) { return (2 * n + 63) / 64; }
-
-    /** Materialize row r (0 <= r < 2n) as a phase-tracked PauliString. */
-    PauliString rowAt(uint32_t r) const;
+    /**
+     * The anticommutation plane of @p observable (bit r set iff row r
+     * anticommutes with it) in the per-instance scratch, which holds
+     * two more planes after it for the rowsum phase accumulators.
+     */
+    uint64_t *parityPlane(const PauliString &observable) const;
 
     /**
-     * Multiply every row selected by @p mask (which must exclude the
-     * pivot pair) on the right by row @p source_row, signs included —
-     * the whole-selection Aaronson-Gottesman rowsum, one dispatched
-     * rowsumColumn call per non-identity column of the source row.
+     * Sign (+1 / -1) of @p observable in the stabilizer group, given its
+     * anticommutation plane @p parity (consumed) and that it commutes
+     * with every stabilizer: the observable is, up to sign, the product
+     * of the stabilizers whose destabilizers anticommute with it.
      */
-    void multiplyMaskedByRow(uint32_t source_row, const uint64_t *mask,
-                             uint64_t *acc0, uint64_t *acc1);
+    int groupSign(const PauliString &observable, uint64_t *parity) const;
 
-    /**
-     * Phase exponent (i^k) of the ordered product of the rows selected
-     * by @p mask, ascending interleaved row order — the closed form of
-     * PackedTableau::conjugate evaluated with the denseColumn kernel.
-     * When @p expect is non-null, debug builds assert the product's
-     * letters equal it.
-     */
-    uint8_t selectedProductPhase(const uint64_t *mask,
-                                 const PauliString *expect) const;
+    CliffordTableau tableau_;
 
-    /**
-     * Per-row anticommutation-parity plane of @p observable into
-     * @p parity (words_ words, overwritten): bit r is set iff row r
-     * anticommutes with the observable.
-     */
-    void anticommuteParityPlane(const PauliString &observable,
-                                uint64_t *parity) const;
-
-    /**
-     * Collapse bookkeeping after multiplyMaskedByRow: copy the pivot
-     * stabilizer row onto its destabilizer (rows pivot_row -> pivot_row
-     * - 1), clear the stabilizer row's bits, and set its sign to
-     * @p new_sign. The caller then writes the post-measurement
-     * stabilizer's letters.
-     */
-    void collapseAtPivot(uint32_t pivot_row, bool new_sign);
-
-    /** Scratch planes (3 * words_), lazily sized; see scratch() uses. */
-    uint64_t *scratchPlanes() const;
-
-    uint32_t numQubits_;
-    uint32_t words_; // words per column (rounds 2n up to 64)
-    std::vector<uint64_t> x_;     // x bits, column-major: x_[c*words_ + w]
-    std::vector<uint64_t> z_;     // z bits, column-major
-    std::vector<uint64_t> signs_; // one sign bit per row
-
-    /** Measurement scratch (mask + 2 phase planes); per-instance, so
-     *  the simulator is single-thread-use like the reference. */
+    /** Measurement scratch (parity plane + 2 phase planes); per
+     *  instance, so the simulator is single-thread-use like the
+     *  reference. */
     mutable std::vector<uint64_t> scratch_;
+
+    /** Identity between measurements; measure(q) sets Z_q in it. */
+    PauliString zProbe_;
 };
 
 } // namespace quclear

@@ -2,12 +2,13 @@
  * @file
  * Runtime-dispatched SIMD backend for the packed bit-kernels.
  *
- * Every hot word-loop of the bit-sliced engine — gate-append column
- * updates, popcount reductions, Pauli multiplication, the dense
- * conjugation column pass, the batch row-product walk, and the 64x64
- * bit-block transpose — is routed through a table of function pointers
- * (Kernels). Three tables implement it, all built from one generic
- * kernel source (simd_kernels_generic.hpp) compiled once per target:
+ * Every hot word-loop of the bit-sliced tableau — gate-append column
+ * updates, the anticommutation parity, Pauli multiplication, the dense
+ * conjugation column pass, the measurement rowsum, the batch
+ * row-product walk, and the 64x64 bit-block transpose — is routed
+ * through a table of function pointers (Kernels). Three tables
+ * implement it, all built from one generic kernel source
+ * (simd_kernels_generic.hpp) compiled once per target:
  *
  *   scalar  the generic kernels with the baseline flags; always
  *           compiled, the semantic reference;
@@ -123,15 +124,10 @@ struct Kernels
     void (*swapWords)(uint64_t *a, uint64_t *b, uint32_t n);
     /** @} */
 
-    /** @name Popcount-accumulate reductions. @{ */
-    uint64_t (*popcountWords)(const uint64_t *a, uint32_t n);
-    uint64_t (*popcountAnd)(const uint64_t *a, const uint64_t *b,
-                            uint32_t n);
     /** Symplectic product parity: |xa & zb| + |za & xb| mod 2. */
     uint32_t (*anticommuteParity)(const uint64_t *xa, const uint64_t *za,
                                   const uint64_t *xb, const uint64_t *zb,
                                   uint32_t n);
-    /** @} */
 
     /**
      * Pauli word multiply: xa ^= xb, za ^= zb, returning the

@@ -3,7 +3,7 @@
  * The generic kernel bodies behind every SIMD kernel table.
  *
  * These are the reference loops, lifted from the pre-dispatch
- * PackedTableau / PauliString hot paths (see the gate comments there
+ * CliffordTableau / PauliString hot paths (see the gate comments there
  * for the sign algebra). Each backend TU (simd_kernels_scalar.cpp,
  * _avx2.cpp, _avx512.cpp) includes this file once and is compiled with
  * its own ISA flags, so the same source yields a portable table and
@@ -156,24 +156,6 @@ swapWords(uint64_t *a, uint64_t *b, uint32_t n)
 {
     for (uint32_t w = 0; w < n; ++w)
         std::swap(a[w], b[w]);
-}
-
-uint64_t
-popcountWords(const uint64_t *a, uint32_t n)
-{
-    uint64_t c = 0;
-    for (uint32_t w = 0; w < n; ++w)
-        c += popcnt(a[w]);
-    return c;
-}
-
-uint64_t
-popcountAnd(const uint64_t *a, const uint64_t *b, uint32_t n)
-{
-    uint64_t c = 0;
-    for (uint32_t w = 0; w < n; ++w)
-        c += popcnt(a[w] & b[w]);
-    return c;
 }
 
 uint32_t
@@ -427,8 +409,6 @@ genericKernels(Level level, const char *name)
         xorInto,
         xorInto2,
         swapWords,
-        popcountWords,
-        popcountAnd,
         anticommuteParity,
         mulWords,
         denseColumn,

@@ -21,7 +21,6 @@
 #include "core/clifford_extractor.hpp"
 #include "reference_tableau.hpp"
 #include "tableau/clifford_tableau.hpp"
-#include "tableau/packed_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 #include "util/worker_pool.hpp"
@@ -35,7 +34,7 @@ TEST(ConjugateBatchTest, MatchesScalarAndReferenceAcrossWordBoundaries)
 {
     for (uint32_t n : kQubitCounts) {
         Rng rng(7000 + n);
-        PackedTableau packed(n);
+        CliffordTableau packed(n);
         ReferenceTableau ref(n);
         for (size_t i = 0; i < 6 * n + 30; ++i) {
             const Gate g = randomCliffordGate(n, rng);
@@ -72,7 +71,7 @@ TEST(ConjugateBatchTest, MatchesScalarAndReferenceAcrossWordBoundaries)
 
 TEST(ConjugateBatchTest, EmptyAndSingletonBatches)
 {
-    PackedTableau tab(5);
+    CliffordTableau tab(5);
     tab.appendH(0);
     tab.appendCX(0, 3);
 

@@ -17,7 +17,6 @@
 #include "tableau/stabilizer_simulator.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
-#include "util/worker_pool.hpp"
 
 namespace quclear {
 namespace {
@@ -234,44 +233,26 @@ TEST(NoiseModelTest, BatchedSamplerBitIdenticalAcrossThreadGrid)
     NoiseModel::SamplerOptions baseline;
     baseline.seed = 0xC0FFEEULL;
     baseline.threads = 1;
-    baseline.shotBlock = 1024;
     const auto expected =
         noise.noisyStabilizerExpectation(qc, obs, shots, baseline);
     EXPECT_EQ(expected.faultSites, shots * qc.size());
     EXPECT_GT(expected.errorEvents, 0u);
 
-    // Every split of the same shot set must reproduce the scalar run
-    // bit-for-bit: the combine is exact integer arithmetic in block
-    // order, independent of which worker ran which block.
+    // Every thread count must reproduce the inline run bit-for-bit:
+    // the combine is exact integer arithmetic in block order,
+    // independent of which worker ran which block.
     for (const uint32_t threads : { 0u, 1u, 2u, 3u, 4u, 8u }) {
-        for (const size_t shot_block : { size_t{1}, size_t{7},
-                                         size_t{64}, size_t{1000},
-                                         size_t{4096}, size_t{9999} }) {
-            NoiseModel::SamplerOptions options;
-            options.seed = baseline.seed;
-            options.threads = threads;
-            options.shotBlock = shot_block;
-            const auto got =
-                noise.noisyStabilizerExpectation(qc, obs, shots, options);
-            EXPECT_EQ(got.expectation, expected.expectation)
-                << "threads=" << threads << " block=" << shot_block;
-            EXPECT_EQ(got.errorEvents, expected.errorEvents)
-                << "threads=" << threads << " block=" << shot_block;
-            EXPECT_EQ(got.faultSites, expected.faultSites);
-        }
+        NoiseModel::SamplerOptions options;
+        options.seed = baseline.seed;
+        options.threads = threads;
+        const auto got =
+            noise.noisyStabilizerExpectation(qc, obs, shots, options);
+        EXPECT_EQ(got.expectation, expected.expectation)
+            << "threads=" << threads;
+        EXPECT_EQ(got.errorEvents, expected.errorEvents)
+            << "threads=" << threads;
+        EXPECT_EQ(got.faultSites, expected.faultSites);
     }
-
-    // A caller-owned pool must give the same answer as sampler-owned
-    // threads (this is the path the compilation service exercises).
-    WorkerPool pool(4);
-    NoiseModel::SamplerOptions pooled;
-    pooled.seed = baseline.seed;
-    pooled.shotBlock = 128;
-    pooled.pool = &pool;
-    const auto via_pool =
-        noise.noisyStabilizerExpectation(qc, obs, shots, pooled);
-    EXPECT_EQ(via_pool.expectation, expected.expectation);
-    EXPECT_EQ(via_pool.errorEvents, expected.errorEvents);
 
     // A different master seed must actually change the sampled faults;
     // otherwise the grid above would pass vacuously.
@@ -357,7 +338,6 @@ TEST(NoiseModelTest, BatchedSamplerMatchesPerShotReplayOracle)
         NoiseModel::SamplerOptions options;
         options.seed = master;
         options.threads = 2;
-        options.shotBlock = 64;
         const auto batched =
             noise.noisyStabilizerExpectation(qc, obs, shots, options);
 

@@ -20,7 +20,6 @@
 #include "pauli/pauli_term.hpp"
 #include "reference_tableau.hpp"
 #include "tableau/clifford_tableau.hpp"
-#include "tableau/packed_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -81,7 +80,7 @@ TEST(ScaleExtractionTest, PackedAndReferenceAgreeOnExtractionTail)
     // Replaying the extracted tail on both engines at full width must
     // stay row-identical — the end-to-end version of the unit-level
     // cross-check in test_tableau_packed.
-    PackedTableau packed(n);
+    CliffordTableau packed(n);
     ReferenceTableau ref(n);
     for (const Gate &g : result.extractedClifford.gates()) {
         packed.appendGate(g);

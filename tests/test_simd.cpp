@@ -8,7 +8,7 @@
  * straddling every vector-width boundary (1 word up to several full
  * vectors plus tails) and with empty / dense / single-set-word
  * operands. On top of the kernel-level checks, whole engine paths
- * (PackedTableau conjugation, batch conjugation, end-to-end
+ * (CliffordTableau conjugation, batch conjugation, end-to-end
  * extraction) are re-run under each forced dispatch level and must
  * produce identical outputs — phases, signs, and gate streams
  * included. On hosts without AVX the wide loops simply have nothing to
@@ -21,7 +21,7 @@
 
 #include "core/clifford_extractor.hpp"
 #include "pauli/pauli_string.hpp"
-#include "tableau/packed_tableau.hpp"
+#include "tableau/clifford_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 #include "util/simd_dispatch.hpp"
@@ -256,12 +256,6 @@ TEST(SimdKernels, ReductionsMatchScalar)
                 const auto b = randomWords(n, rng);
                 const auto c = randomWords(n, rng);
                 const auto d = randomWords(n, rng);
-                EXPECT_EQ(sc.popcountWords(a.data(), n),
-                          wide->popcountWords(a.data(), n))
-                    << wide->name << " n=" << n;
-                EXPECT_EQ(sc.popcountAnd(a.data(), b.data(), n),
-                          wide->popcountAnd(a.data(), b.data(), n))
-                    << wide->name << " n=" << n;
                 EXPECT_EQ(
                     sc.anticommuteParity(a.data(), b.data(), c.data(),
                                          d.data(), n),
@@ -557,7 +551,7 @@ TEST(SimdEndToEnd, ConjugationIdenticalAcrossLevels)
         std::vector<std::vector<PauliString>> per_level;
         for (simd::Level lvl : levels) {
             ASSERT_TRUE(simd::forceLevel(lvl));
-            const PackedTableau t = PackedTableau::fromCircuit(qc);
+            const CliffordTableau t = CliffordTableau::fromCircuit(qc);
             std::vector<PauliString> lone;
             lone.reserve(terms.size());
             for (const PauliString &p : terms)

@@ -12,6 +12,11 @@
  * (1, 63, 64, 65, 128, 256 qubits), and the whole battery re-runs
  * under every compiled-and-supported SIMD dispatch level, mirroring
  * test_simd's forced-level style.
+ *
+ * The simulator is a CliffordTableau plus measurement, so two more
+ * checks pin that identity down: after a circuit U its rows are
+ * exactly CliffordTableau::fromCircuit(U)'s rows, and every expectation
+ * equals the sign read off the tableau's conjugate(Z_S).
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +24,7 @@
 #include <vector>
 
 #include "reference_stabilizer_simulator.hpp"
+#include "tableau/clifford_tableau.hpp"
 #include "tableau/stabilizer_simulator.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
@@ -29,6 +35,19 @@ namespace {
 
 /** Widths straddling the 64-bit packing boundaries of 2n rows. */
 constexpr uint32_t kWidths[] = { 1, 2, 31, 32, 33, 63, 64, 65, 128, 256 };
+
+/** Widths of the simulator-is-a-tableau checks. */
+constexpr uint32_t kTableauWidths[] = { 1, 31, 32, 33, 63, 64, 65, 128 };
+
+/** Random circuit over all 11 Clifford gate types (8 when n == 1). */
+QuantumCircuit
+randomAllGateCircuit(uint32_t n, size_t gates, Rng &rng)
+{
+    QuantumCircuit qc(n);
+    for (size_t i = 0; i < gates; ++i)
+        qc.append(randomCliffordGate(n, rng));
+    return qc;
+}
 
 /** Levels (scalar included) usable for whole-engine forced runs. */
 std::vector<simd::Level>
@@ -272,6 +291,87 @@ TEST(StabilizerPacked, InterleavedInstancesStayIndependent)
     }
     expectSameState(packed_a, ref_a);
     expectSameState(packed_b, ref_b);
+}
+
+TEST(StabilizerPacked, RowsAreTheCircuitTableau)
+{
+    // The state U|0...0> has destabilizer i = U X_i U~ and stabilizer
+    // i = U Z_i U~: the generators are the rows of U's tableau.
+    Rng rng(109);
+    for (uint32_t n : kTableauWidths) {
+        for (int trial = 0; trial < 3; ++trial) {
+            const QuantumCircuit qc =
+                randomAllGateCircuit(n, 4 * n + 20, rng);
+            StabilizerSimulator sim(n);
+            sim.applyCircuit(qc);
+            const CliffordTableau t = CliffordTableau::fromCircuit(qc);
+            for (uint32_t i = 0; i < n; ++i) {
+                ASSERT_EQ(sim.destabilizer(i), t.imageX(i))
+                    << "n=" << n << " destabilizer " << i;
+                ASSERT_EQ(sim.stabilizer(i), t.imageZ(i))
+                    << "n=" << n << " stabilizer " << i;
+            }
+        }
+    }
+}
+
+TEST(StabilizerPacked, ExpectationIsConjugateReadout)
+{
+    // <P> is 0 when P anticommutes with a stabilizer U Z_i U~.
+    // Otherwise P = +-U Z_S U~, with S the qubits whose destabilizer
+    // U X_i U~ anticommutes with P, and the sign of conjugate(Z_S)
+    // against P is the expectation.
+    Rng rng(110);
+    size_t positive = 0;
+    size_t negative = 0;
+    size_t zero = 0;
+    for (uint32_t n : kTableauWidths) {
+        const QuantumCircuit qc = randomAllGateCircuit(n, 4 * n + 20, rng);
+        StabilizerSimulator sim(n);
+        sim.applyCircuit(qc);
+        const CliffordTableau t = CliffordTableau::fromCircuit(qc);
+        for (int probe = 0; probe < 24; ++probe) {
+            PauliString obs;
+            if (probe % 2 == 0) {
+                // A signed stabilizer-group element: U Z_T U~ for a
+                // random Z-string T, sparse or dense.
+                PauliString z(n);
+                const double density = probe % 4 == 0 ? 0.1 : 0.6;
+                for (uint32_t q = 0; q < n; ++q)
+                    if (rng.bernoulli(density))
+                        z.setOp(q, PauliOp::Z);
+                if (rng.bernoulli(0.5))
+                    z.setPhase(2);
+                obs = t.conjugate(z);
+            } else {
+                obs = randomHermitianPauli(n, rng, (probe % 3) * 0.45);
+            }
+
+            PauliString z_s(n);
+            bool anticommutes_with_stabilizer = false;
+            for (uint32_t i = 0; i < n; ++i) {
+                if (!obs.commutesWith(t.imageZ(i)))
+                    anticommutes_with_stabilizer = true;
+                if (!obs.commutesWith(t.imageX(i)))
+                    z_s.setOp(i, PauliOp::Z);
+            }
+            int want = 0;
+            if (!anticommutes_with_stabilizer) {
+                const PauliString readout = t.conjugate(z_s);
+                ASSERT_TRUE(readout.equalsUpToPhase(obs));
+                want = readout == obs ? 1 : -1;
+                ++(want > 0 ? positive : negative);
+            } else {
+                ++zero;
+            }
+            ASSERT_EQ(sim.expectation(obs), want)
+                << "n=" << n << " probe " << probe;
+        }
+    }
+    // All three outcomes must actually be exercised.
+    EXPECT_GT(positive, 30u);
+    EXPECT_GT(negative, 30u);
+    EXPECT_GT(zero, 40u);
 }
 
 TEST(StabilizerPacked, ForcedDispatchLevelsAgree)
