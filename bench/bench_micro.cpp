@@ -10,11 +10,13 @@
  * The Packed/Reference benchmark pairs measure the bit-sliced engine
  * against the preserved row-major seed implementation on identical gate
  * and Pauli streams, and the DepthScheduling pair measures the run-DAG
- * scheduler against the seed pairwise-DAG one; the ...Batch variants
- * record the batched conjugation kernel against its scalar
- * counterpart. CI records them as JSON via
+ * scheduler against the seed pairwise-DAG one, and the SabreRouting
+ * pair measures the incremental router against the seed
+ * rebuild-per-SWAP one; the ...Batch variants record the batched
+ * conjugation kernel against its scalar counterpart. CI records them
+ * as JSON via
  *   bench_micro \
- *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|Absorb|StabilizerSim|SimdPauli|DepthScheduling' \
+ *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|Absorb|StabilizerSim|SimdPauli|DepthScheduling|Sabre' \
  *     --benchmark_out=BENCH_tableau.json --benchmark_out_format=json
  */
 #include <benchmark/benchmark.h>
@@ -31,6 +33,7 @@
 #include "mapping/sabre_router.hpp"
 #include "pauli/pauli_term.hpp"
 #include "reference_depth_scheduling.hpp"
+#include "reference_sabre_router.hpp"
 #include "reference_stabilizer_simulator.hpp"
 #include "reference_tableau.hpp"
 #include "sim/noise_model.hpp"
@@ -417,8 +420,11 @@ BM_DiagonalizeCommutingSet(benchmark::State &state)
 }
 BENCHMARK(BM_DiagonalizeCommutingSet)->Arg(8)->Arg(16)->Arg(32);
 
+/** mapToDevice (or its seed-router twin) of a fixed-seed random
+ *  20-qubit CX circuit onto the heavy-hex lattice. */
+template <RoutingResult (*Map)(const QuantumCircuit &, const CouplingMap &)>
 void
-BM_SabreRouting(benchmark::State &state)
+sabreRouting(benchmark::State &state)
 {
     const uint32_t n = 20;
     Rng rng(9);
@@ -431,10 +437,23 @@ BM_SabreRouting(benchmark::State &state)
     }
     const CouplingMap device = manhattanHeavyHex();
     for (auto _ : state)
-        benchmark::DoNotOptimize(mapToDevice(qc, device));
+        benchmark::DoNotOptimize(Map(qc, device));
     state.SetItemsProcessed(state.iterations() * qc.size());
 }
+
+void
+BM_SabreRouting(benchmark::State &state)
+{
+    sabreRouting<mapToDevice>(state);
+}
 BENCHMARK(BM_SabreRouting)->Arg(100)->Arg(400);
+
+void
+BM_ReferenceSabreRouting(benchmark::State &state)
+{
+    sabreRouting<referenceMapToDevice>(state);
+}
+BENCHMARK(BM_ReferenceSabreRouting)->Arg(400);
 
 /**
  * Fixed-seed 12-qubit circuit in the U' gate vocabulary (H, S, Rz,

@@ -28,26 +28,20 @@ CouplingMap::CouplingMap(uint32_t num_qubits,
     computeDistances();
 }
 
-bool
-CouplingMap::adjacent(uint32_t p, uint32_t q) const
-{
-    return std::binary_search(adj_[p].begin(), adj_[p].end(), q);
-}
-
 void
 CouplingMap::computeDistances()
 {
-    dist_.assign(numQubits_,
-                 std::vector<uint32_t>(numQubits_, kUnreachable));
+    dist_.assign(size_t{ numQubits_ } * numQubits_, kUnreachable);
     for (uint32_t s = 0; s < numQubits_; ++s) {
-        dist_[s][s] = 0;
+        uint32_t *row = &dist_[size_t{ s } * numQubits_];
+        row[s] = 0;
         std::deque<uint32_t> queue{ s };
         while (!queue.empty()) {
             const uint32_t v = queue.front();
             queue.pop_front();
             for (uint32_t w : adj_[v]) {
-                if (dist_[s][w] == kUnreachable) {
-                    dist_[s][w] = dist_[s][v] + 1;
+                if (row[w] == kUnreachable) {
+                    row[w] = row[v] + 1;
                     queue.push_back(w);
                 }
             }
@@ -59,7 +53,7 @@ bool
 CouplingMap::isConnected() const
 {
     for (uint32_t q = 0; q < numQubits_; ++q)
-        if (dist_[0][q] == kUnreachable)
+        if (dist_[q] == kUnreachable) // row 0
             return false;
     return true;
 }

@@ -2,11 +2,14 @@
  * @file
  * Device connectivity graph with all-pairs shortest-path distances,
  * used by the SABRE-style router for the limited-connectivity mapping
- * experiments of Fig. 11.
+ * experiments of Fig. 11. Distances live in one row-major
+ * numQubits x numQubits array, so distance() and adjacent() are single
+ * loads on the router's per-SWAP scoring path.
  */
 #ifndef QUCLEAR_MAPPING_COUPLING_MAP_HPP
 #define QUCLEAR_MAPPING_COUPLING_MAP_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -36,12 +39,13 @@ class CouplingMap
     }
 
     /** True iff p and q share an edge. */
-    bool adjacent(uint32_t p, uint32_t q) const;
+    bool adjacent(uint32_t p, uint32_t q) const { return distance(p, q) == 1; }
 
-    /** BFS hop distance between two physical qubits. */
+    /** BFS hop distance between two physical qubits (UINT32_MAX if
+     *  they lie in different components). */
     uint32_t distance(uint32_t p, uint32_t q) const
     {
-        return dist_[p][q];
+        return dist_[size_t{ p } * numQubits_ + q];
     }
 
     /** True iff the graph is connected. */
@@ -53,7 +57,7 @@ class CouplingMap
     uint32_t numQubits_;
     std::vector<std::pair<uint32_t, uint32_t>> edges_;
     std::vector<std::vector<uint32_t>> adj_;
-    std::vector<std::vector<uint32_t>> dist_;
+    std::vector<uint32_t> dist_; //!< dist_[p * numQubits_ + q]
 };
 
 } // namespace quclear

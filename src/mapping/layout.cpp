@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace quclear {
@@ -20,7 +22,10 @@ std::vector<uint32_t>
 greedyLayout(const QuantumCircuit &qc, const CouplingMap &device)
 {
     const uint32_t n = qc.numQubits();
-    assert(n <= device.numQubits());
+    if (n > device.numQubits())
+        throw std::invalid_argument(
+            "greedyLayout: " + std::to_string(n) + "-qubit circuit on a " +
+            std::to_string(device.numQubits()) + "-qubit device");
 
     // Interaction counts between logical pairs.
     std::vector<std::vector<uint32_t>> weight(n,

@@ -20,6 +20,8 @@ namespace quclear {
  * minimizing the distance-weighted sum to already-placed partners.
  *
  * @return layout[logical] = physical
+ * @throws std::invalid_argument if the circuit has more qubits than the
+ *         device
  */
 std::vector<uint32_t> greedyLayout(const QuantumCircuit &qc,
                                    const CouplingMap &device);

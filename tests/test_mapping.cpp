@@ -2,15 +2,22 @@
  * @file
  * Tests for the device-mapping substrate of Fig. 11: coupling maps,
  * device topologies, layout selection, SABRE routing validity (every
- * two-qubit gate on an edge) and semantic preservation, and the
- * CNOT-network synthesis used by QAOA absorption.
+ * two-qubit gate on an edge), semantic preservation and gate-for-gate
+ * identity with the seed router, rejection of hostile routing input,
+ * and the CNOT-network synthesis used by QAOA absorption.
  */
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <stdexcept>
+
+#include "benchgen/labs.hpp"
+#include "core/quclear.hpp"
 #include "mapping/cnot_synthesis.hpp"
 #include "mapping/devices.hpp"
 #include "mapping/layout.hpp"
 #include "mapping/sabre_router.hpp"
+#include "reference_sabre_router.hpp"
 #include "sim/statevector.hpp"
 #include "util/rng.hpp"
 
@@ -344,6 +351,203 @@ TEST(RouterTest, LayoutRoundTripMatchesFinalLayout)
         }
         EXPECT_EQ(current, result.finalLayout);
     }
+}
+
+/** Random circuit over the routing vocabulary: 1q gates, CX, CZ, Swap. */
+QuantumCircuit
+randomRoutingCircuit(uint32_t n, size_t gates, Rng &rng)
+{
+    QuantumCircuit qc(n);
+    while (qc.size() < gates) {
+        const uint32_t a = static_cast<uint32_t>(rng.uniformInt(n));
+        const uint32_t b = static_cast<uint32_t>(rng.uniformInt(n));
+        switch (rng.uniformInt(6)) {
+          case 0: qc.h(a); break;
+          case 1: qc.rz(a, rng.uniformReal(-3, 3)); break;
+          case 2: if (a != b) qc.cz(a, b); break;
+          case 3: if (a != b) qc.swap(a, b); break;
+          default: if (a != b) qc.cx(a, b); break;
+        }
+    }
+    return qc;
+}
+
+/** Random injective layout of @p logical qubits on @p physical ones. */
+std::vector<uint32_t>
+randomLayout(uint32_t logical, uint32_t physical, Rng &rng)
+{
+    std::vector<uint32_t> phys(physical);
+    std::iota(phys.begin(), phys.end(), 0u);
+    rng.shuffle(phys);
+    phys.resize(logical);
+    return phys;
+}
+
+/** Gate-for-gate equality of two routings, naming the first mismatch. */
+::testing::AssertionResult
+sameRouting(const RoutingResult &got, const RoutingResult &want)
+{
+    if (got.swapCount != want.swapCount)
+        return ::testing::AssertionFailure()
+               << "swapCount " << got.swapCount << " vs " << want.swapCount;
+    if (got.finalLayout != want.finalLayout)
+        return ::testing::AssertionFailure() << "finalLayout differs";
+    const auto &g = got.routed.gates();
+    const auto &w = want.routed.gates();
+    if (got.routed.numQubits() != want.routed.numQubits() ||
+        g.size() != w.size())
+        return ::testing::AssertionFailure()
+               << "routed size " << g.size() << " vs " << w.size();
+    for (size_t i = 0; i < g.size(); ++i)
+        if (!(g[i] == w[i]))
+            return ::testing::AssertionFailure()
+                   << "gate " << i << ": " << gateName(g[i].type) << " "
+                   << g[i].q0 << "," << g[i].q1 << " vs "
+                   << gateName(w[i].type) << " " << w[i].q0 << ","
+                   << w[i].q1;
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * The incremental router must make every decision the seed router
+ * makes: random circuits and their inverses, from random injective
+ * layouts with fewer logical than physical qubits, on every shipped
+ * topology.
+ */
+TEST(RouterTest, MatchesReferenceRouterOnRandomCircuits)
+{
+    struct NamedDevice
+    {
+        const char *name;
+        CouplingMap map;
+    };
+    const NamedDevice devices[] = {
+        { "manhattanHeavyHex", manhattanHeavyHex() },
+        { "sycamoreGrid", sycamoreGrid() },
+        { "gridDevice(4,5)", gridDevice(4, 5) },
+        { "lineDevice(12)", lineDevice(12) },
+        { "fullyConnected(8)", fullyConnected(8) },
+    };
+    Rng rng(67);
+    for (const auto &device : devices) {
+        SCOPED_TRACE(device.name);
+        const uint32_t phys = device.map.numQubits();
+        const int64_t max_n = phys - 1 < 24 ? phys - 1 : 24;
+        for (int trial = 0; trial < 25; ++trial) {
+            const uint32_t n =
+                static_cast<uint32_t>(rng.uniformRange(2, max_n));
+            const size_t gates =
+                static_cast<size_t>(rng.uniformRange(1, 400));
+            const QuantumCircuit qc = randomRoutingCircuit(n, gates, rng);
+            const auto layout = randomLayout(n, phys, rng);
+            EXPECT_TRUE(sameRouting(sabreRoute(qc, device.map, layout),
+                                    referenceSabreRoute(qc, device.map,
+                                                        layout)))
+                << "trial " << trial;
+            const QuantumCircuit inv = qc.inverse();
+            EXPECT_TRUE(sameRouting(sabreRoute(inv, device.map, layout),
+                                    referenceSabreRoute(inv, device.map,
+                                                        layout)))
+                << "inverse, trial " << trial;
+        }
+        const QuantumCircuit qc =
+            randomRoutingCircuit(static_cast<uint32_t>(max_n), 300, rng);
+        EXPECT_TRUE(sameRouting(mapToDevice(qc, device.map),
+                                referenceMapToDevice(qc, device.map)));
+    }
+}
+
+/**
+ * Candidates are only edges touching a current front-gate qubit. Found
+ * by a search over 1.4M short random routings: in both cases a SWAP
+ * between two non-front qubits would tie the chosen one (it lowers the
+ * lookahead cost as much as the front SWAP lowers the front cost) and
+ * win the lexicographic tie-break, costing an extra SWAP.
+ */
+TEST(RouterTest, MatchesReferenceRouterWhenOnlyLookaheadSwapsTie)
+{
+    struct Case
+    {
+        std::vector<std::pair<uint32_t, uint32_t>> gates; // {q, q}: H
+        std::vector<uint32_t> layout;
+        size_t swaps;
+    };
+    const Case cases[] = {
+        { { { 11, 10 }, { 1, 7 }, { 9, 8 }, { 7, 4 }, { 0, 1 }, { 8, 3 },
+            { 4, 4 }, { 9, 12 } },
+          { 5, 16, 4, 9, 8, 15, 11, 14, 13, 2, 18, 7, 17, 10 },
+          12 },
+        { { { 9, 7 }, { 4, 4 }, { 6, 5 }, { 14, 4 }, { 11, 9 }, { 3, 8 },
+            { 5, 14 }, { 7, 13 } },
+          { 16, 15, 3, 17, 5, 2, 19, 10, 6, 9, 1, 18, 11, 12, 8 },
+          14 },
+    };
+    const CouplingMap dev = gridDevice(4, 5);
+    for (const Case &c : cases) {
+        QuantumCircuit qc(static_cast<uint32_t>(c.layout.size()));
+        for (const auto &[a, b] : c.gates) {
+            if (a == b)
+                qc.h(a);
+            else
+                qc.cx(a, b);
+        }
+        const RoutingResult got = sabreRoute(qc, dev, c.layout);
+        EXPECT_EQ(got.swapCount, c.swaps);
+        EXPECT_TRUE(
+            sameRouting(got, referenceSabreRoute(qc, dev, c.layout)));
+    }
+}
+
+/** The Fig. 11 path end to end: mapToDevice of a compiled U'. */
+TEST(RouterTest, MatchesReferenceRouterOnCompiledCircuit)
+{
+    const CompiledProgram program = QuClear().compile(labsQaoa(20));
+    for (const CouplingMap &dev : { sycamoreGrid(), manhattanHeavyHex() }) {
+        const RoutingResult got = mapToDevice(program.circuit(), dev);
+        EXPECT_GT(got.swapCount, 0u);
+        EXPECT_TRUE(
+            sameRouting(got, referenceMapToDevice(program.circuit(), dev)));
+    }
+}
+
+TEST(RouterTest, RejectsDisconnectedDevice)
+{
+    // Used to spin forever in the stall fallback: no neighbour of qubit
+    // 0 is closer to qubit 2 than "unreachable".
+    const CouplingMap split(4, { { 0, 1 }, { 2, 3 } });
+    EXPECT_FALSE(split.isConnected());
+    QuantumCircuit qc(4);
+    qc.cx(0, 2);
+    EXPECT_THROW(sabreRoute(qc, split, trivialLayout(4)),
+                 std::invalid_argument);
+    EXPECT_THROW(mapToDevice(qc, split), std::invalid_argument);
+}
+
+TEST(RouterTest, RejectsCircuitLargerThanDevice)
+{
+    // Used to return a 1-gate "routed" circuit in Release builds.
+    QuantumCircuit qc(5);
+    for (uint32_t q = 0; q + 1 < 5; ++q)
+        qc.cx(q, q + 1);
+    const CouplingMap line = lineDevice(4);
+    EXPECT_THROW(greedyLayout(qc, line), std::invalid_argument);
+    EXPECT_THROW(mapToDevice(qc, line), std::invalid_argument);
+}
+
+TEST(RouterTest, RejectsInvalidInitialLayout)
+{
+    QuantumCircuit qc(3);
+    qc.cx(0, 2);
+    const CouplingMap line = lineDevice(4);
+    const std::vector<std::vector<uint32_t>> bad = {
+        { 0, 1, 1 }, // not injective
+        { 0, 1, 4 }, // out of range
+        { 0, 1 },    // too short
+        { 0, 1, 2, 3 },
+    };
+    for (const auto &layout : bad)
+        EXPECT_THROW(sabreRoute(qc, line, layout), std::invalid_argument);
+    EXPECT_NO_THROW(sabreRoute(qc, line, { 3, 1, 0 }));
 }
 
 TEST(CnotSynthesisTest, RoundTripRandomNetworks)
