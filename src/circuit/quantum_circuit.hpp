@@ -24,7 +24,7 @@ class PauliString;
 /**
  * Single-gate Heisenberg update P -> g P g~ of a Pauli string. The one
  * Clifford-gate dispatch shared by circuit conjugation, the extractor's
- * conjugation cache, and the stabilizer simulator.
+ * conjugation cache, and the noise sampler's observable pull-back.
  */
 void applyGateToPauli(PauliString &p, const Gate &g);
 

@@ -1,7 +1,9 @@
 #include "service/server.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -15,20 +17,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <streambuf>
 #endif
 
 namespace quclear::service {
 
 namespace {
-
-/**
- * Upper bound on one job line. Inline-QASM payloads for paper-scale
- * circuits are a few MB; 64 MiB leaves an order of magnitude of
- * headroom while keeping a runaway line from exhausting memory.
- */
-constexpr size_t kMaxLineBytes = 64u << 20;
 
 bool
 isBlank(const std::string &line)
@@ -37,6 +31,58 @@ isBlank(const std::string &line)
         if (!std::isspace(static_cast<unsigned char>(c)))
             return false;
     return true;
+}
+
+/**
+ * std::getline with a memory bound: reads one '\n'-terminated line of
+ * @p in, keeping at most kMaxJobLineBytes + 1 bytes of it in @p line
+ * and discarding the rest as it streams past, so a runaway line costs
+ * O(kMaxJobLineBytes) memory however long it is. Drops a trailing '\r'
+ * (CRLF clients). Sets @p too_long for a non-blank line longer than
+ * kMaxJobLineBytes; a blank line of any length stays blank.
+ * @return false at end of input with nothing read
+ */
+bool
+readJobLine(std::istream &in, std::string &line, bool &too_long)
+{
+    static constexpr char kSpace[] = " \t\n\v\f\r";
+    line.clear();
+    bool read_any = false;
+    bool dropped = false;      // bytes past the kept prefix
+    bool dropped_text = false; // ... and some of them not whitespace
+    char chunk[4096];
+    for (;;) {
+        // Stops after the delimiter (extracted, not stored; good()), at
+        // end of input, or with the chunk full (failbit; line goes on).
+        in.getline(chunk, sizeof chunk);
+        const auto got = static_cast<size_t>(in.gcount());
+        const size_t stored = in.good() ? got - 1 : got;
+        read_any = read_any || got > 0;
+        const size_t keep =
+            std::min(stored, kMaxJobLineBytes + 1 - line.size());
+        // Doubling the buffer up to the cap would briefly hold two
+        // copies of a near-cap prefix; past 1 MiB, jump straight to
+        // the cap so at most one large buffer is ever resident.
+        if (line.size() + keep > line.capacity() &&
+            line.size() >= (1u << 20))
+            line.reserve(kMaxJobLineBytes + 1);
+        line.append(chunk, keep);
+        if (keep < stored) {
+            dropped = true;
+            // getline NUL-terminates the chunk, so strspn stops at the
+            // end of the stored bytes or at the first non-space one.
+            dropped_text = dropped_text ||
+                           std::strspn(chunk + keep, kSpace) < stored - keep;
+        }
+        if (in.eof() || !in.fail() || got == 0)
+            break;
+        in.clear();
+    }
+    if (!dropped && !line.empty() && line.back() == '\r')
+        line.pop_back();
+    too_long = dropped_text ||
+               (!isBlank(line) && (dropped || line.size() > kMaxJobLineBytes));
+    return read_any;
 }
 
 } // namespace
@@ -58,20 +104,19 @@ serveStream(std::istream &in, std::ostream &out,
                            out);
     uint64_t seq = 0;
     std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back(); // CRLF tolerance
-        if (isBlank(line))
-            continue;
-        if (line.size() > kMaxLineBytes) {
+    bool too_long = false;
+    while (readJobLine(in, line, too_long)) {
+        if (too_long) {
             scheduler.emit(
                 seq, errorResultLine(
                          seq, "", ServiceError::InvalidJson,
                          "job line exceeds " +
-                             std::to_string(kMaxLineBytes) + " bytes"));
+                             std::to_string(kMaxJobLineBytes) + " bytes"));
             ++seq;
             continue;
         }
+        if (isBlank(line))
+            continue;
         ParsedJob parsed = parseJobLine(line, seq);
         if (parsed.error != ServiceError::None) {
             scheduler.emit(seq,

@@ -23,6 +23,15 @@
 
 namespace quclear::service {
 
+/**
+ * Upper bound on one job line. Inline-QASM payloads for paper-scale
+ * circuits are a few MB; 64 MiB leaves an order of magnitude of
+ * headroom. A longer line is answered with `invalid-json` and is
+ * never buffered whole: the serve loop keeps at most this many bytes
+ * (plus one) of any line.
+ */
+inline constexpr size_t kMaxJobLineBytes = 64u << 20;
+
 /** Server-level knobs (per-job knobs travel in the job lines). */
 struct ServeOptions
 {

@@ -394,13 +394,13 @@ CliffordTableau::conjugate(const PauliString &p) const
             mask[w] = 0;
     }
     PauliString result(numQubits_);
-    phase_acc += rowProduct(mask, &result);
+    phase_acc += rowProduct(mask, result);
     result.setPhase(static_cast<uint8_t>(phase_acc & 3));
     return result;
 }
 
 uint8_t
-CliffordTableau::rowProduct(const uint64_t *mask, PauliString *letters) const
+CliffordTableau::rowProduct(const uint64_t *mask, PauliString &letters) const
 {
     // Writing each Hermitian row
     // R_j = (-1)^{s_j} i^{|x_j & z_j|} X^{x_j} Z^{z_j} and
@@ -425,8 +425,8 @@ CliffordTableau::rowProduct(const uint64_t *mask, PauliString *letters) const
             &x_[c * words_], &z_[c * words_], mask, words_);
         const uint8_t xbit = static_cast<uint8_t>(col.xParity);
         const uint8_t zbit = static_cast<uint8_t>(col.zParity);
-        if (letters != nullptr && (xbit | zbit))
-            letters->setOp(c, static_cast<PauliOp>(static_cast<uint8_t>(
+        if (xbit | zbit)
+            letters.setOp(c, static_cast<PauliOp>(static_cast<uint8_t>(
                                   xbit | (zbit << 1))));
         y_rows += col.yCount;
         y_result += xbit & zbit;
@@ -438,89 +438,6 @@ CliffordTableau::rowProduct(const uint64_t *mask, PauliString *letters) const
                                  2 * pair_parity +
                                  3 * (y_result & 3)) & // 3 == -1 mod 4
                                 3);
-}
-
-void
-CliffordTableau::anticommuteParityPlane(const PauliString &p,
-                                        uint64_t *parity) const
-{
-    const simd::Kernels &k = simd::active();
-    std::fill(parity, parity + words_, 0);
-    p.forEachSupport([&](uint32_t c, PauliOp op) {
-        const uint64_t *xc = &x_[static_cast<size_t>(c) * words_];
-        const uint64_t *zc = &z_[static_cast<size_t>(c) * words_];
-        // Row r anticommutes per qubit as (x_r & z_p) ^ (z_r & x_p).
-        const auto code = static_cast<uint8_t>(op);
-        if (code == 3)
-            k.xorInto2(parity, xc, zc, words_);
-        else if (code & 1)
-            k.xorInto(parity, zc, words_);
-        else
-            k.xorInto(parity, xc, words_);
-    });
-}
-
-void
-CliffordTableau::multiplyMaskedByRow(uint32_t source_row,
-                                     const uint64_t *mask, uint64_t *acc0,
-                                     uint64_t *acc1)
-{
-    const simd::Kernels &k = simd::active();
-    const uint32_t wp = source_row >> 6;
-    const uint32_t bp = source_row & 63;
-    std::fill(acc0, acc0 + words_, 0);
-    std::fill(acc1, acc1 + words_, 0);
-    for (uint32_t c = 0; c < numQubits_; ++c) {
-        uint64_t *xc = &x_[static_cast<size_t>(c) * words_];
-        uint64_t *zc = &z_[static_cast<size_t>(c) * words_];
-        const auto bx = static_cast<uint32_t>((xc[wp] >> bp) & 1);
-        const auto bz = static_cast<uint32_t>((zc[wp] >> bp) & 1);
-        if ((bx | bz) == 0)
-            continue; // identity column of the source row
-        k.rowsumColumn(xc, zc, mask, bx, bz, acc0, acc1, words_);
-    }
-    // Fold the accumulated i-exponents into the signs. Every selected
-    // row commutes with the source row (stabilizers mutually commute;
-    // destabilizer i anticommutes only with stabilizer i, and the
-    // pivot pair is excluded from the mask), so each product of the
-    // two Hermitian rows is Hermitian: the low phase-plane bit is 0
-    // and acc1 alone carries the -1 factors.
-    const uint64_t source_sign =
-        0 - static_cast<uint64_t>((signs_[wp] >> bp) & 1);
-    for (uint32_t w = 0; w < words_; ++w) {
-        assert((acc0[w] & mask[w]) == 0 &&
-               "rowsum phase must stay Hermitian");
-        signs_[w] ^= (source_sign & mask[w]) ^ (acc1[w] & mask[w]);
-    }
-}
-
-void
-CliffordTableau::collapseAtPivot(uint32_t pivot_row,
-                                 const PauliString &observable, bool negative)
-{
-    // pivot_row is a stabilizer (odd) row, so its destabilizer partner
-    // pivot_row - 1 lives one bit lower in the same word.
-    const uint32_t w = pivot_row >> 6;
-    const uint32_t be = (pivot_row - 1) & 63;
-    const uint64_t pair = 3ULL << be;
-    const uint64_t destab_bit = 1ULL << be;
-    const uint64_t stab_bit = destab_bit << 1;
-    for (uint32_t c = 0; c < numQubits_; ++c) {
-        uint64_t &xw = x_[static_cast<size_t>(c) * words_ + w];
-        xw = (xw & ~pair) | ((xw >> 1) & destab_bit);
-        uint64_t &zw = z_[static_cast<size_t>(c) * words_ + w];
-        zw = (zw & ~pair) | ((zw >> 1) & destab_bit);
-    }
-    uint64_t &sw = signs_[w];
-    sw = (sw & ~pair) | ((sw >> 1) & destab_bit) |
-         (negative ? stab_bit : 0);
-    observable.forEachSupport([&](uint32_t c, PauliOp op) {
-        const auto code = static_cast<uint8_t>(op);
-        if (code & 1)
-            x_[static_cast<size_t>(c) * words_ + w] |= stab_bit;
-        if (code & 2)
-            z_[static_cast<size_t>(c) * words_ + w] |= stab_bit;
-    });
 }
 
 CliffordTableau::RowMajor &

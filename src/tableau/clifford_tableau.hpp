@@ -7,9 +7,7 @@
  * with exact sign tracking. Appending a gate g replaces U by g.U. This
  * is the classical data structure behind both Clifford Extraction
  * (updating Pauli strings through already-extracted Cliffords) and
- * Clifford Absorption (computing the new observables O' = U~ O U), and
- * read as a stabilizer state it is the Aaronson-Gottesman tableau that
- * StabilizerSimulator measures.
+ * Clifford Absorption (computing the new observables O' = U~ O U).
  *
  * Where the row-major reference keeps 2n heap-allocated PauliString
  * rows (so a single-gate append walks 2n separate objects), this class
@@ -153,11 +151,6 @@ class CliffordTableau
     }
 
   private:
-    // StabilizerSimulator is this tableau plus measurement. It reads and
-    // rewrites rows only through rowProduct and the stabilizer-state
-    // primitives below, never through the bit planes themselves.
-    friend class StabilizerSimulator;
-
     /** Words per column: ceil(2n / 64). */
     static uint32_t wordsForRows(uint32_t n) { return (2 * n + 63) / 64; }
 
@@ -243,47 +236,11 @@ class CliffordTableau
     /**
      * Ordered product of the rows selected by @p mask (words_ words,
      * every word valid), multiplied in ascending row order — the
-     * closed form behind the dense conjugate pass and behind
-     * stabilizer-group signs. Writes the product's letters into
-     * @p letters unless it is null (it must be the identity on entry)
-     * and returns the product's phase exponent (i^k).
+     * closed form behind the dense conjugate pass. Writes the
+     * product's letters into @p letters (which must be the identity on
+     * entry) and returns the product's phase exponent (i^k).
      */
-    uint8_t rowProduct(const uint64_t *mask, PauliString *letters) const;
-
-    /**
-     * @name Stabilizer-state primitives
-     * Read as a stabilizer state, row 2i is destabilizer i and row
-     * 2i+1 stabilizer i. Aaronson-Gottesman measurement collapses the
-     * state with these row operations; every row plane holds words_
-     * words. @{
-     */
-
-    /**
-     * Overwrite @p parity with the rows that anticommute with @p p:
-     * bit r is set iff row r anticommutes with it.
-     */
-    void anticommuteParityPlane(const PauliString &p,
-                                uint64_t *parity) const;
-
-    /**
-     * Multiply every row selected by @p mask (which must exclude the
-     * pivot pair) on the right by row @p source_row, signs included —
-     * the whole-selection rowsum, one dispatched rowsumColumn call per
-     * non-identity column of the source row. @p acc0 / @p acc1 are
-     * scratch phase planes.
-     */
-    void multiplyMaskedByRow(uint32_t source_row, const uint64_t *mask,
-                             uint64_t *acc0, uint64_t *acc1);
-
-    /**
-     * Collapse after multiplyMaskedByRow: copy the pivot stabilizer
-     * row @p pivot_row onto its destabilizer (row pivot_row - 1), then
-     * overwrite the stabilizer row with the letters of @p observable
-     * and the sign @p negative.
-     */
-    void collapseAtPivot(uint32_t pivot_row, const PauliString &observable,
-                         bool negative);
-    /** @} */
+    uint8_t rowProduct(const uint64_t *mask, PauliString &letters) const;
 
     uint32_t numQubits_;
     uint32_t words_; // words per column (rounds 2n up to 64)

@@ -4,8 +4,8 @@
  *
  * Every hot word-loop of the bit-sliced tableau — gate-append column
  * updates, the anticommutation parity, Pauli multiplication, the dense
- * conjugation column pass, the measurement rowsum, the batch
- * row-product walk, and the 64x64 bit-block transpose — is routed
+ * conjugation column pass, the batch row-product walk, and the 64x64
+ * bit-block transpose — is routed
  * through a table of function pointers (Kernels). Three tables
  * implement it, all built from one generic kernel source
  * (simd_kernels_generic.hpp) compiled once per target:
@@ -146,21 +146,6 @@ struct Kernels
     DenseColumnResult (*denseColumn)(const uint64_t *xc,
                                      const uint64_t *zc,
                                      const uint64_t *mask, uint32_t n);
-
-    /**
-     * One column of the broadcast row-sum backing measurement collapse
-     * (the Aaronson-Gottesman "rowsum" over a whole selection at
-     * once): every row selected by @p mask is multiplied on the right
-     * by the broadcast letter (@p bx, @p bz) of this column. The
-     * column bits update in place and each selected row's i-exponent
-     * contribution (the per-qubit mulWords tally with the second
-     * operand fixed) is added mod 4 into the carry-save phase planes
-     * @p acc0 (low bit) / @p acc1 (high bit). An identity broadcast
-     * (bx == bz == 0) is a no-op.
-     */
-    void (*rowsumColumn)(uint64_t *xc, uint64_t *zc,
-                         const uint64_t *mask, uint32_t bx, uint32_t bz,
-                         uint64_t *acc0, uint64_t *acc1, uint32_t n);
 
     /**
      * The batch conjugation inner kernel: walk the selected rows (via

@@ -221,61 +221,6 @@ denseColumn(const uint64_t *xc, const uint64_t *zc, const uint64_t *mask,
 }
 
 /**
- * rowsumColumn with the broadcast letter as a compile-time constant:
- * fixing (x2, z2) collapses the mulWords case tables to two-term
- * boolean functions of the row letters, and the +-i tallies become a
- * carry-save add into the two phase bit-planes (+1 for plus rows,
- * +3 == +2 then +1 for minus rows, all mod 4).
- */
-template <bool BX, bool BZ>
-void
-rowsumColumnImpl(uint64_t *xc, uint64_t *zc, const uint64_t *mask,
-                 uint64_t *acc0, uint64_t *acc1, uint32_t n)
-{
-    for (uint32_t w = 0; w < n; ++w) {
-        const uint64_t m = mask[w];
-        const uint64_t x1 = xc[w], z1 = zc[w];
-        uint64_t plus, minus;
-        if (BX && BZ) {  // . Y: X -> +i, Z -> -i
-            plus = x1 & ~z1;
-            minus = ~x1 & z1;
-        } else if (BX) { // . X: Z -> +i, Y -> -i
-            plus = ~x1 & z1;
-            minus = x1 & z1;
-        } else {         // . Z: Y -> +i, X -> -i
-            plus = x1 & z1;
-            minus = x1 & ~z1;
-        }
-        plus &= m;
-        minus &= m;
-        uint64_t carry = acc0[w] & plus;
-        acc0[w] ^= plus;
-        acc1[w] ^= carry ^ minus;
-        carry = acc0[w] & minus;
-        acc0[w] ^= minus;
-        acc1[w] ^= carry;
-        if (BX)
-            xc[w] ^= m;
-        if (BZ)
-            zc[w] ^= m;
-    }
-}
-
-void
-rowsumColumn(uint64_t *xc, uint64_t *zc, const uint64_t *mask,
-             uint32_t bx, uint32_t bz, uint64_t *acc0, uint64_t *acc1,
-             uint32_t n)
-{
-    if (bx != 0 && bz != 0)
-        rowsumColumnImpl<true, true>(xc, zc, mask, acc0, acc1, n);
-    else if (bx != 0)
-        rowsumColumnImpl<true, false>(xc, zc, mask, acc0, acc1, n);
-    else if (bz != 0)
-        rowsumColumnImpl<false, true>(xc, zc, mask, acc0, acc1, n);
-    // identity broadcast: no-op
-}
-
-/**
  * Row-product walk with the words-per-row count as a compile-time
  * constant when RW > 0, so the inner word loop fully unrolls (RW == 0
  * is the fallback above 256 qubits).
@@ -412,7 +357,6 @@ genericKernels(Level level, const char *name)
         anticommuteParity,
         mulWords,
         denseColumn,
-        rowsumColumn,
         rowProduct,
         padRowWords,
         transpose64x2,

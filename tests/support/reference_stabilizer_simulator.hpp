@@ -1,12 +1,14 @@
 /**
  * @file
- * Row-major Aaronson-Gottesman stabilizer simulator (the seed
- * implementation), preserved as the semantic oracle for the bit-sliced
- * StabilizerSimulator. Every generator is a heap-allocated PauliString
- * and every operation is the textbook row walk, so the code stays an
- * executable statement of the measurement and phase rules the packed
- * engine must reproduce bit for bit (tests/test_stabilizer_packed.cpp
- * cross-checks the two on identical RNG streams).
+ * Row-major Aaronson-Gottesman stabilizer simulator (quant-ph/0406196),
+ * the tests' stabilizer-state simulator. The library needs a Clifford
+ * tableau, never a state simulator, so this one lives with the test
+ * support code and not in libquclear. Every generator is a
+ * heap-allocated PauliString and every operation is the textbook row
+ * walk, so the code stays an executable statement of the measurement
+ * and phase rules; the tests use it as an independent check on the
+ * bit-sliced CliffordTableau (stabilizer i of U|0...0> is
+ * imageZ(i)) and on the noise sampler's ideal expectations.
  */
 #ifndef QUCLEAR_TESTS_REFERENCE_STABILIZER_SIMULATOR_HPP
 #define QUCLEAR_TESTS_REFERENCE_STABILIZER_SIMULATOR_HPP
@@ -23,9 +25,9 @@ namespace quclear {
 
 /**
  * Stabilizer state over n qubits, initialized to |0...0>, stored as 2n
- * row-major PauliString generators. API and RNG consumption are
- * identical to StabilizerSimulator, so seeded runs of the two are
- * interchangeable.
+ * row-major PauliString generators. Randomness is drawn only for a
+ * random-outcome measurement (one draw each), so a seeded run is
+ * reproducible.
  */
 class ReferenceStabilizerSimulator
 {

@@ -4,7 +4,7 @@
  * probability distributions, sampled fault rates must converge to the
  * configured rates under a fixed seed, and Monte-Carlo noisy
  * expectations on Clifford circuits must stay within the error budget
- * the fidelity proxy predicts.
+ * the fidelity proxy predicts and agree with the exact closed form.
  */
 #include <gtest/gtest.h>
 
@@ -14,12 +14,47 @@
 
 #include "reference_stabilizer_simulator.hpp"
 #include "sim/noise_model.hpp"
-#include "tableau/stabilizer_simulator.hpp"
+#include "tableau/clifford_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace quclear {
 namespace {
+
+/**
+ * Exact damping of <O> under the sampler's depolarizing channels: each
+ * fault site flips the trajectory sign independently with probability
+ * q_j, so <O> = ideal * prod_j (1 - 2 q_j). Two of the three 1q faults
+ * anticommute with a non-identity letter (q = 2 p1 / 3), and 8 of the
+ * 15 2q faults anticommute with a non-identity letter pair
+ * (q = 8 p2 / 15); a site the observable does not touch has q = 0.
+ * The observable is pulled back gate by gate from the end of @p qc,
+ * so the letters at site j are those of the gates after j.
+ */
+double
+closedFormDamping(const NoiseModel &noise, const QuantumCircuit &qc,
+                  const PauliString &observable)
+{
+    const double flip_1q = 2.0 * noise.singleQubitError / 3.0;
+    const double flip_2q = 8.0 * noise.twoQubitError / 15.0;
+    double damping = 1.0;
+    PauliString pulled = observable;
+    const auto &gates = qc.gates();
+    for (size_t j = gates.size(); j-- > 0;) {
+        const Gate &g = gates[j];
+        if (isTwoQubit(g.type)) {
+            if (pulled.op(g.q0) != PauliOp::I ||
+                pulled.op(g.q1) != PauliOp::I)
+                damping *= 1.0 - 2.0 * flip_2q;
+        } else if (pulled.op(g.q0) != PauliOp::I) {
+            damping *= 1.0 - 2.0 * flip_1q;
+        }
+        Gate inverse = g;
+        inverse.type = inverseType(g.type);
+        applyGateToPauli(pulled, inverse);
+    }
+    return damping;
+}
 
 QuantumCircuit
 ghzCircuit(uint32_t n)
@@ -134,7 +169,7 @@ TEST(NoiseModelTest, ZeroNoiseReproducesIdealExpectation)
     noiseless.twoQubitError = 0.0;
 
     const QuantumCircuit qc = ghzCircuit(5);
-    StabilizerSimulator ideal(5);
+    ReferenceStabilizerSimulator ideal(5);
     ideal.applyCircuit(qc);
     const PauliString obs = PauliString::fromLabel("XXXXX");
     ASSERT_EQ(ideal.expectation(obs), 1);
@@ -155,7 +190,7 @@ TEST(NoiseModelTest, NoisyExpectationWithinErrorBudget)
     const uint32_t n = 6;
     const QuantumCircuit qc = ghzCircuit(n);
     const PauliString obs = PauliString::fromLabel("XXXXXX");
-    StabilizerSimulator ideal(n);
+    ReferenceStabilizerSimulator ideal(n);
     ideal.applyCircuit(qc);
     const double ideal_exp = ideal.expectation(obs);
     ASSERT_EQ(ideal_exp, 1.0);
@@ -196,7 +231,7 @@ TEST(NoiseModelTest, NoisyVsIdealDeltaBoundedOnRandomCliffords)
     for (int trial = 0; trial < 6; ++trial) {
         const uint32_t n = 4;
         const QuantumCircuit qc = randomCliffordCircuit(n, 24, rng);
-        StabilizerSimulator ideal(n);
+        ReferenceStabilizerSimulator ideal(n);
         ideal.applyCircuit(qc);
 
         PauliString obs(n);
@@ -215,6 +250,45 @@ TEST(NoiseModelTest, NoisyVsIdealDeltaBoundedOnRandomCliffords)
                     static_cast<double>(ideal.expectation(obs)),
                     2.0 * budget + 0.05)
             << "trial " << trial;
+    }
+}
+
+TEST(NoiseModelTest, SamplerMatchesClosedFormOnRandomCliffords)
+{
+    NoiseModel noise;
+    noise.singleQubitError = 0.02;
+    noise.twoQubitError = 0.05;
+
+    Rng rng(8080);
+    for (int trial = 0; trial < 4; ++trial) {
+        const uint32_t n = 5;
+        const QuantumCircuit qc = randomCliffordCircuit(n, 40, rng);
+        // A stabilizer of qc|0...0> (Z image of one qubit times Z image
+        // of another), so the ideal expectation is +-1, never 0.
+        const CliffordTableau tab = CliffordTableau::fromCircuit(qc);
+        const uint32_t a = static_cast<uint32_t>(rng.uniformInt(n));
+        const uint32_t b = (a + 1) % n;
+        PauliString obs = tab.imageZ(a);
+        obs.mulRight(tab.imageZ(b));
+
+        ReferenceStabilizerSimulator ideal(n);
+        ideal.applyCircuit(qc);
+        const int ideal_exp = ideal.expectation(obs);
+        ASSERT_NE(ideal_exp, 0) << "trial " << trial;
+
+        const double exact =
+            ideal_exp * closedFormDamping(noise, qc, obs);
+        EXPECT_LT(std::abs(exact), 0.9) << "trial " << trial;
+
+        const size_t shots = 20000;
+        NoiseModel::SamplerOptions options;
+        options.seed = 7000 + static_cast<uint64_t>(trial);
+        const auto result =
+            noise.noisyStabilizerExpectation(qc, obs, shots, options);
+        const double sigma =
+            std::sqrt((1.0 - exact * exact) / static_cast<double>(shots));
+        EXPECT_NEAR(result.expectation, exact, 4.0 * sigma)
+            << "trial " << trial << " exact " << exact;
     }
 }
 

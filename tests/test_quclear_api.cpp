@@ -8,8 +8,9 @@
 
 #include "benchgen/suite.hpp"
 #include "core/quclear.hpp"
+#include "reference_stabilizer_simulator.hpp"
 #include "sim/expectation.hpp"
-#include "tableau/stabilizer_simulator.hpp"
+#include "tableau/clifford_tableau.hpp"
 #include "util/rng.hpp"
 
 namespace quclear {
@@ -117,11 +118,23 @@ TEST(QuClearApiTest, CliffordTailSamplableByStabilizerSim)
     }
     const QuClear compiler;
     const auto program = compiler.compile(terms);
+    const QuantumCircuit &tail = program.extraction.extractedClifford;
+    ReferenceStabilizerSimulator sim(n);
+    sim.applyCircuit(tail);
+    // tail|0...0> is stabilized by the tableau's Z images and by none
+    // of its X images.
+    const CliffordTableau tab = CliffordTableau::fromCircuit(tail);
+    for (uint32_t i = 0; i < n; ++i) {
+        EXPECT_EQ(sim.expectation(tab.imageZ(i)), 1) << "qubit " << i;
+        EXPECT_EQ(sim.expectation(tab.imageX(i)), 0) << "qubit " << i;
+    }
     Rng sample_rng(7);
-    StabilizerSimulator sim(n);
-    sim.applyCircuit(program.extraction.extractedClifford);
-    (void)sim.measureAll(sample_rng); // must complete without issue
-    SUCCEED();
+    const uint64_t bits = sim.measureAll(sample_rng);
+    for (uint32_t q = 0; q < n; ++q) {
+        PauliString z(n);
+        z.setOp(q, PauliOp::Z);
+        EXPECT_EQ(sim.expectation(z), ((bits >> q) & 1) ? -1 : 1);
+    }
 }
 
 TEST(QuClearApiTest, SynthesisPortfolioStaysSound)

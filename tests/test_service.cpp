@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -530,6 +532,96 @@ TEST(ServeStream, MalformedLinesNeverKillTheServer)
     EXPECT_EQ(parseResult(lines[2]).find("status")->asString(), "ok");
     EXPECT_EQ(errorCodeOf(parseResult(lines[3])), "unknown-benchmark");
     // Sequence numbers are dense and ordered.
+    for (uint64_t i = 0; i < lines.size(); ++i)
+        EXPECT_EQ(parseResult(lines[i]).find("seq")->asUint(), i);
+}
+
+/**
+ * Input buffer that generates its bytes on demand from (text, repeat)
+ * pieces, 64 KiB at a time, so a test can stream lines far longer than
+ * kMaxJobLineBytes without ever allocating them.
+ */
+class GeneratedInput : public std::streambuf
+{
+  public:
+    struct Piece
+    {
+        std::string text;
+        size_t repeat;
+    };
+
+    explicit GeneratedInput(std::vector<Piece> pieces)
+        : pieces_(std::move(pieces))
+    {
+    }
+
+  protected:
+    int_type underflow() override
+    {
+        size_t filled = 0;
+        while (filled < sizeof chunk_ && piece_ < pieces_.size()) {
+            const Piece &p = pieces_[piece_];
+            const size_t total = p.text.size() * p.repeat;
+            if (done_ == total) {
+                ++piece_;
+                done_ = 0;
+                continue;
+            }
+            const size_t n = std::min(sizeof chunk_ - filled, total - done_);
+            if (p.text.size() == 1) // the long runs
+                std::memset(chunk_ + filled, p.text[0], n);
+            else
+                for (size_t i = 0; i < n; ++i)
+                    chunk_[filled + i] =
+                        p.text[(done_ + i) % p.text.size()];
+            filled += n;
+            done_ += n;
+        }
+        if (filled == 0)
+            return traits_type::eof();
+        setg(chunk_, chunk_, chunk_ + filled);
+        return traits_type::to_int_type(*chunk_);
+    }
+
+  private:
+    std::vector<Piece> pieces_;
+    size_t piece_ = 0; // current piece
+    size_t done_ = 0;  // bytes of it already generated
+    char chunk_[64 * 1024];
+};
+
+TEST(ServeStream, OversizeLinesAreAnsweredWithoutBufferingThem)
+{
+    // A line of exactly the cap plus CRLF is in bounds (and merely bad
+    // JSON); one byte past it is refused by length; an oversize blank
+    // line is skipped like any blank line; the stream then resumes.
+    GeneratedInput gen({ { "x", kMaxJobLineBytes },
+                         { "\r\n", 1 },
+                         { "x", kMaxJobLineBytes + 4096 },
+                         { "\n", 1 },
+                         { " ", kMaxJobLineBytes + 4096 },
+                         { "\n", 1 },
+                         { smokeJobLine("after") + "\n", 1 } });
+    std::istream in(&gen);
+    std::ostringstream out;
+    ServeOptions options;
+    options.workers = 1;
+    EXPECT_EQ(serveStream(in, out, options), 3u);
+
+    const auto lines = splitLines(out.str());
+    ASSERT_EQ(lines.size(), 3u);
+    const auto message = [](const JsonValue &result) {
+        return result.find("error")->find("message")->asString();
+    };
+    const JsonValue at_cap = parseResult(lines[0]);
+    EXPECT_EQ(errorCodeOf(at_cap), "invalid-json");
+    EXPECT_EQ(message(at_cap).find("exceeds"), std::string::npos);
+    const JsonValue over_cap = parseResult(lines[1]);
+    EXPECT_EQ(errorCodeOf(over_cap), "invalid-json");
+    EXPECT_NE(message(over_cap).find("exceeds"), std::string::npos);
+    const JsonValue after = parseResult(lines[2]);
+    EXPECT_EQ(after.find("status")->asString(), "ok");
+    EXPECT_EQ(after.find("id")->asString(), "after");
     for (uint64_t i = 0; i < lines.size(); ++i)
         EXPECT_EQ(parseResult(lines[i]).find("seq")->asUint(), i);
 }

@@ -310,98 +310,6 @@ TEST(SimdKernels, DenseColumnMatchesScalar)
     }
 }
 
-/** i-exponent of the per-qubit product a * b in op codes (I=0, X=1,
- *  Z=2, Y=3): +1 for the cyclic orders (X,Y), (Y,Z), (Z,X); -1 (= 3
- *  mod 4) for the reversed ones; 0 otherwise. */
-uint32_t
-naivePauliIexp(uint32_t a, uint32_t b)
-{
-    if (a == 0 || b == 0 || a == b)
-        return 0;
-    const bool plus = (a == 1 && b == 3) || (a == 3 && b == 2) ||
-                      (a == 2 && b == 1);
-    return plus ? 1 : 3;
-}
-
-TEST(SimdKernels, RowsumColumnMatchesScalarAndModel)
-{
-    const auto tables = wideTables();
-    const simd::Kernels &sc = simd::scalarKernels();
-    Rng rng(46);
-    for (uint32_t n : kWordCounts) {
-        const auto xc0 = randomWords(n, rng);
-        const auto zc0 = randomWords(n, rng);
-        // Poisoned (random) starting phase planes: the carry-save add
-        // must be exact from any starting value, not just zero.
-        const auto acc0_start = randomWords(n, rng);
-        const auto acc1_start = randomWords(n, rng);
-        for (auto &mask : operandPatterns(n, rng)) {
-            for (uint32_t bz = 0; bz < 2; ++bz) {
-                for (uint32_t bx = 0; bx < 2; ++bx) {
-                    auto xa = xc0, za = zc0;
-                    auto a0 = acc0_start, a1 = acc1_start;
-                    sc.rowsumColumn(xa.data(), za.data(), mask.data(),
-                                    bx, bz, a0.data(), a1.data(), n);
-                    // Scalar kernel vs the naive per-bit model.
-                    const uint32_t broadcast = bx | (bz << 1);
-                    for (uint32_t w = 0; w < n; ++w) {
-                        for (uint32_t b = 0; b < 64; ++b) {
-                            const uint64_t bit = 1ULL << b;
-                            const bool sel = (mask[w] & bit) != 0;
-                            const uint32_t x1 =
-                                static_cast<uint32_t>(xc0[w] >> b) & 1;
-                            const uint32_t z1 =
-                                static_cast<uint32_t>(zc0[w] >> b) & 1;
-                            const uint32_t row = x1 | (z1 << 1);
-                            const uint32_t acc_in =
-                                (static_cast<uint32_t>(acc0_start[w] >> b) &
-                                 1) |
-                                ((static_cast<uint32_t>(acc1_start[w] >>
-                                                        b) &
-                                  1)
-                                 << 1);
-                            const uint32_t acc_want =
-                                sel ? (acc_in +
-                                       naivePauliIexp(row, broadcast)) &
-                                          3
-                                    : acc_in;
-                            const uint32_t acc_got =
-                                (static_cast<uint32_t>(a0[w] >> b) & 1) |
-                                ((static_cast<uint32_t>(a1[w] >> b) & 1)
-                                 << 1);
-                            ASSERT_EQ(acc_want, acc_got)
-                                << "n=" << n << " w=" << w << " b=" << b
-                                << " bx=" << bx << " bz=" << bz;
-                            const uint32_t x_want =
-                                sel ? x1 ^ bx : x1;
-                            const uint32_t z_want =
-                                sel ? z1 ^ bz : z1;
-                            ASSERT_EQ(x_want, static_cast<uint32_t>(
-                                                  xa[w] >> b) &
-                                                  1);
-                            ASSERT_EQ(z_want, static_cast<uint32_t>(
-                                                  za[w] >> b) &
-                                                  1);
-                        }
-                    }
-                    // Wide backends vs the scalar kernel, bit for bit.
-                    for (const simd::Kernels *wide : tables) {
-                        auto xb = xc0, zb = zc0;
-                        auto b0 = acc0_start, b1 = acc1_start;
-                        wide->rowsumColumn(xb.data(), zb.data(),
-                                           mask.data(), bx, bz, b0.data(),
-                                           b1.data(), n);
-                        EXPECT_EQ(xa, xb) << wide->name << " n=" << n;
-                        EXPECT_EQ(za, zb) << wide->name << " n=" << n;
-                        EXPECT_EQ(a0, b0) << wide->name << " n=" << n;
-                        EXPECT_EQ(a1, b1) << wide->name << " n=" << n;
-                    }
-                }
-            }
-        }
-    }
-}
-
 TEST(SimdKernels, Transpose64x2MatchesScalar)
 {
     const auto tables = wideTables();
