@@ -10,13 +10,15 @@
  * The Packed/Reference benchmark pairs measure the bit-sliced engine
  * against the preserved row-major seed implementation on identical gate
  * and Pauli streams, and the DepthScheduling pair measures the run-DAG
- * scheduler against the seed pairwise-DAG one, and the SabreRouting
+ * scheduler against the seed pairwise-DAG one, the SabreRouting
  * pair measures the incremental router against the seed
- * rebuild-per-SWAP one; the ...Batch variants record the batched
+ * rebuild-per-SWAP one, and the Level3 pair measures the level-3
+ * pipeline against the same pipeline with the seed folding and
+ * cancellation passes; the ...Batch variants record the batched
  * conjugation kernel against its scalar counterpart. CI records them
  * as JSON via
  *   bench_micro \
- *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|Absorb|NoiseMc|SimdPauli|DepthScheduling|Sabre' \
+ *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|Absorb|NoiseMc|SimdPauli|DepthScheduling|Sabre|Level3' \
  *     --benchmark_out=BENCH_tableau.json --benchmark_out_format=json
  */
 #include <benchmark/benchmark.h>
@@ -27,18 +29,21 @@
 #include "core/absorption_post.hpp"
 #include "core/absorption_pre.hpp"
 #include "core/clifford_extractor.hpp"
+#include "core/quclear.hpp"
 #include "core/diagonalization.hpp"
 #include "core/tree_synthesis.hpp"
 #include "mapping/devices.hpp"
 #include "mapping/sabre_router.hpp"
 #include "pauli/pauli_term.hpp"
 #include "reference_depth_scheduling.hpp"
+#include "reference_level3.hpp"
 #include "reference_sabre_router.hpp"
 #include "reference_tableau.hpp"
 #include "sim/noise_model.hpp"
 #include "sim/statevector.hpp"
 #include "tableau/clifford_tableau.hpp"
 #include "transpile/depth_scheduling.hpp"
+#include "transpile/pass_manager.hpp"
 #include "util/rng.hpp"
 #include "util/simd_dispatch.hpp"
 
@@ -515,6 +520,48 @@ BM_ReferenceDepthScheduling(benchmark::State &state)
 BENCHMARK(BM_ReferenceDepthScheduling)
     ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
+
+/** UCC-(8,16)'s U' as extraction emits it, before any local rewrite. */
+const QuantumCircuit &
+level3Input()
+{
+    static const QuantumCircuit qc = [] {
+        QuClearOptions options;
+        options.applyLocalOptimization = false;
+        options.optimizeDepth = false;
+        return QuClear(options)
+            .compile(makeBenchmark("UCC-(8,16)").terms)
+            .extraction.optimized;
+    }();
+    return qc;
+}
+
+/** One level-3 fixpoint per iteration (the input copy is included). */
+void
+level3(benchmark::State &state, const PassManager &pm)
+{
+    const QuantumCircuit &input = level3Input();
+    for (auto _ : state) {
+        QuantumCircuit qc = input;
+        benchmark::DoNotOptimize(pm.run(qc));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(input.size()));
+}
+
+void
+BM_Level3(benchmark::State &state)
+{
+    level3(state, PassManager::level3());
+}
+BENCHMARK(BM_Level3)->Unit(benchmark::kMillisecond);
+
+void
+BM_ReferenceLevel3(benchmark::State &state)
+{
+    level3(state, referenceLevel3());
+}
+BENCHMARK(BM_ReferenceLevel3)->Unit(benchmark::kMillisecond);
 
 void
 BM_StatevectorGate(benchmark::State &state)

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace quclear {
@@ -16,6 +17,13 @@ namespace quclear {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+
+/**
+ * Deepest parenthesis nesting accepted inside a parameter list. Real
+ * exporters stay in single digits; the cap keeps a hostile line from
+ * recursing off the stack.
+ */
+constexpr int kMaxAngleNesting = 64;
 
 [[noreturn]] void
 fail(const std::string &message)
@@ -42,7 +50,7 @@ trim(const std::string &s)
  * `05`).
  */
 bool
-isExponentSign(const std::string &expr, size_t i)
+isExponentSign(std::string_view expr, size_t i)
 {
     if (i < 2 || (expr[i - 1] != 'e' && expr[i - 1] != 'E'))
         return false;
@@ -59,70 +67,135 @@ isExponentSign(const std::string &expr, size_t i)
 }
 
 /**
- * Evaluate a restricted angle expression: products/quotients of `pi`
- * and numeric literals (exponent form included) with optional leading
- * sign, plus binary +/- at the top level. Covers everything
- * Qiskit-style exporters and toQasm emit.
+ * Evaluator for a parameter list's angle expression, one pass over the
+ * text:
+ *
+ *     sum     := product (('+' | '-') product)*
+ *     product := factor (('*' | '/') factor)*
+ *     factor  := ('+' | '-')* ('(' sum ')' | "pi" | numeric literal)
+ *
+ * Operators fold left to right; literals are strtod's, exponent form
+ * included. Covers everything Qiskit-style exporters and toQasm emit.
+ * Only '(' recurses, and not deeper than kMaxAngleNesting.
  */
-double
-evalAngle(const std::string &expr_in)
+class AngleParser
 {
-    const std::string expr = trim(expr_in);
-    if (expr.empty())
-        fail("empty angle expression");
+  public:
+    explicit AngleParser(std::string_view text) : text_(text) {}
 
-    // Top-level addition/subtraction (right-to-left, ignoring a leading
-    // sign which belongs to the first factor).
-    int depth = 0;
-    for (size_t i = expr.size(); i-- > 1;) {
-        const char c = expr[i];
-        if (c == ')')
-            ++depth;
-        else if (c == '(')
-            --depth;
-        else if (depth == 0 && (c == '+' || c == '-')) {
-            const char prev = expr[i - 1];
-            if (prev == '*' || prev == '/' || prev == '+' || prev == '-' ||
-                isExponentSign(expr, i))
-                continue; // sign of the next factor or of an exponent
-            const double lhs = evalAngle(expr.substr(0, i));
-            const double rhs = evalAngle(expr.substr(i + 1));
-            return c == '+' ? lhs + rhs : lhs - rhs;
-        }
+    double
+    parse()
+    {
+        const double value = sum(0);
+        if (pos_ != text_.size())
+            fail("unexpected '" + std::string(1, text_[pos_]) +
+                 "' in angle expression");
+        return value;
     }
 
-    // Multiplication/division chain.
-    for (size_t i = expr.size(); i-- > 1;) {
-        const char c = expr[i];
-        if (c == ')')
-            ++depth;
-        else if (c == '(')
-            --depth;
-        else if (depth == 0 && (c == '*' || c == '/')) {
-            const double lhs = evalAngle(expr.substr(0, i));
-            const double rhs = evalAngle(expr.substr(i + 1));
-            if (c == '/' && rhs == 0.0)
+  private:
+    /** Skip blanks; the next character, or '\0' at the end. */
+    char
+    peek()
+    {
+        while (pos_ < text_.size() &&
+               std::isspace(static_cast<unsigned char>(text_[pos_])))
+            ++pos_;
+        return pos_ < text_.size() ? text_[pos_] : '\0';
+    }
+
+    double
+    sum(int nesting)
+    {
+        double value = product(nesting);
+        for (char op = peek(); op == '+' || op == '-'; op = peek()) {
+            ++pos_;
+            const double rhs = product(nesting);
+            value = op == '+' ? value + rhs : value - rhs;
+        }
+        return value;
+    }
+
+    double
+    product(int nesting)
+    {
+        double value = factor(nesting);
+        for (char op = peek(); op == '*' || op == '/'; op = peek()) {
+            ++pos_;
+            const double rhs = factor(nesting);
+            if (op == '/' && rhs == 0.0)
                 fail("division by zero in angle");
-            return c == '*' ? lhs * rhs : lhs / rhs;
+            value = op == '*' ? value * rhs : value / rhs;
         }
+        return value;
     }
 
-    if (expr.front() == '(' && expr.back() == ')')
-        return evalAngle(expr.substr(1, expr.size() - 2));
-    if (expr == "pi")
-        return kPi;
-    if (expr == "-pi")
-        return -kPi;
-    if (expr.front() == '-')
-        return -evalAngle(expr.substr(1));
-    if (expr.front() == '+')
-        return evalAngle(expr.substr(1));
+    double
+    factor(int nesting)
+    {
+        bool negate = false;
+        for (char c = peek(); c == '+' || c == '-'; c = peek()) {
+            negate ^= c == '-';
+            ++pos_;
+        }
+        double value;
+        if (peek() == '(') {
+            if (nesting == kMaxAngleNesting)
+                fail("angle expression nests deeper than " +
+                     std::to_string(kMaxAngleNesting) + " levels");
+            ++pos_;
+            value = sum(nesting + 1);
+            if (peek() != ')')
+                fail("expected ')' in angle expression");
+            ++pos_;
+        } else {
+            value = literal();
+        }
+        return negate ? -value : value;
+    }
 
-    char *end = nullptr;
-    const double value = std::strtod(expr.c_str(), &end);
-    if (end == expr.c_str() || *end != '\0')
-        fail("cannot evaluate angle '" + expr + "'");
-    return value;
+    double
+    literal()
+    {
+        const size_t start = pos_;
+        for (; pos_ < text_.size(); ++pos_) {
+            const char c = text_[pos_];
+            if (c == '(' || c == ')' || c == '*' || c == '/' ||
+                std::isspace(static_cast<unsigned char>(c)) ||
+                ((c == '+' || c == '-') && !isExponentSign(text_, pos_)))
+                break;
+        }
+        const std::string token(text_.substr(start, pos_ - start));
+        if (token.empty())
+            fail("empty angle expression");
+        if (token == "pi")
+            return kPi;
+        char *end = nullptr;
+        const double value = std::strtod(token.c_str(), &end);
+        if (end == token.c_str() || *end != '\0')
+            fail("cannot evaluate angle '" + token + "'");
+        return value;
+    }
+
+    std::string_view text_;
+    size_t pos_ = 0;
+};
+
+/**
+ * Index of the ')' that closes the '(' at s[0], or npos when the
+ * parentheses never balance.
+ */
+size_t
+matchingParen(const std::string &s)
+{
+    size_t depth = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        if (s[i] == '(')
+            ++depth;
+        else if (s[i] == ')' && --depth == 0)
+            return i;
+    }
+    return std::string::npos;
 }
 
 /**
@@ -256,10 +329,12 @@ fromQasm(const std::string &source)
         double angle = 0.0;
         bool has_angle = false;
         if (!rest.empty() && rest.front() == '(') {
-            const size_t close = rest.find(')');
+            const size_t close = matchingParen(rest);
             if (close == std::string::npos)
                 fail("unterminated parameter list in '" + stmt + "'");
-            angle = evalAngle(rest.substr(1, close - 1));
+            angle =
+                AngleParser(std::string_view(rest).substr(1, close - 1))
+                    .parse();
             if (!std::isfinite(angle))
                 fail("non-finite angle in '" + stmt + "'");
             has_angle = true;

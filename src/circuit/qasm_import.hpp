@@ -26,9 +26,10 @@ constexpr uint32_t kMaxQasmQubits = 65536;
  * Parse an OpenQASM 2.0 program.
  *
  * Supported: one qreg, the gates h/s/sdg/x/y/z/sx/sxdg/rz/rx/ry/cx/cz/
- * swap, `pi`-expressions in angles (e.g. "pi/2", "-3*pi/4", "0.25"),
- * comments, `include` and `creg`/`measure`/`barrier` statements (which
- * are ignored). Register sizes and qubit indices are plain decimal
+ * swap, `pi`-expressions in angles (e.g. "pi/2", "-3*pi/4", "0.25",
+ * "-(pi/2)", "pi*(1+1)/4"; parentheses nest at most 64 deep), comments,
+ * `include` and `creg`/`measure`/`barrier` statements (which are
+ * ignored). Register sizes and qubit indices are plain decimal
  * integers; a qreg larger than kMaxQasmQubits is rejected.
  *
  * @throws std::invalid_argument on malformed input or unsupported gates

@@ -1,5 +1,6 @@
 #include "transpile/commutative_cancellation.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -126,7 +127,30 @@ CommutativeCancellation::run(QuantumCircuit &qc) const
     for (bool dirty = true; dirty;) {
         dirty = false;
         const size_t n_gates = gates.size();
+        const size_t none = n_gates;
         std::vector<bool> removed(n_gates, false);
+
+        // next0[i]/next1[i]: the next gate after i on its q0/q1 wire.
+        // Gates on other wires commute with g and cannot match it, so
+        // walking only g's wires visits the same candidates as a scan
+        // over every later gate. Merges rewrite a 1q gate in place on
+        // the same wire, so the links stay valid for the whole sweep.
+        std::vector<size_t> next0(n_gates, none), next1(n_gates, none);
+        {
+            std::vector<size_t> first(qc.numQubits(), none);
+            for (size_t i = n_gates; i-- > 0;) {
+                const Gate &g = gates[i];
+                next0[i] = first[g.q0];
+                first[g.q0] = i;
+                if (isTwoQubit(g.type)) {
+                    next1[i] = first[g.q1];
+                    first[g.q1] = i;
+                }
+            }
+        }
+        auto next_on = [&](size_t j, uint32_t wire) {
+            return gates[j].q0 == wire ? next0[j] : next1[j];
+        };
 
         for (size_t i = 0; i < n_gates; ++i) {
             if (removed[i])
@@ -135,8 +159,16 @@ CommutativeCancellation::run(QuantumCircuit &qc) const
 
             if (g.type == GateType::CX || g.type == GateType::CZ ||
                 g.type == GateType::Swap) {
-                // 2q pair cancellation through commuting gates.
-                for (size_t j = i + 1; j < n_gates; ++j) {
+                // 2q pair cancellation through commuting gates: the
+                // candidates are the later gates on either wire, in
+                // circuit order.
+                size_t on0 = next0[i], on1 = next1[i];
+                while (on0 != none || on1 != none) {
+                    const size_t j = std::min(on0, on1);
+                    if (on0 == j)
+                        on0 = next_on(j, g.q0);
+                    if (on1 == j)
+                        on1 = next_on(j, g.q1);
                     if (removed[j])
                         continue;
                     const Gate &h = gates[j];
@@ -160,11 +192,11 @@ CommutativeCancellation::run(QuantumCircuit &qc) const
                 // forward past gates it commutes with (Rz through CX
                 // controls, Rx through CX targets, ...) onto the next
                 // same-axis gate on its qubit.
-                for (size_t j = i + 1; j < n_gates; ++j) {
+                for (size_t j = next0[i]; j != none; j = next_on(j, g.q0)) {
                     if (removed[j])
                         continue;
                     const Gate &h = gates[j];
-                    if (!isTwoQubit(h.type) && h.q0 == g.q0) {
+                    if (!isTwoQubit(h.type)) {
                         const CombinedGate c = combineSingleQubit(g, h);
                         if (c.combined) {
                             removed[i] = true;

@@ -21,6 +21,10 @@ namespace quclear {
  * number and order of Rz gates; callers that rely on the extractor's
  * Rz-to-term mapping (core/parameterized.hpp) construct the pass with
  * merge_rotations = false to keep every rotation in place.
+ *
+ * Each forward scan walks only the gates on the candidate's own wires
+ * (per-wire successor links); gates elsewhere commute with it and can
+ * never match it, so skipping them changes no decision.
  */
 class CommutativeCancellation : public Pass
 {

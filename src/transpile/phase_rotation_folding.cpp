@@ -1,7 +1,9 @@
 #include "transpile/phase_rotation_folding.hpp"
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <iterator>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,6 +28,19 @@ diagonalPhase(const Gate &g, double &phi)
     }
 }
 
+/** Hash of a parity key (a sorted symbol-id list). */
+struct SymbolSetHash
+{
+    size_t
+    operator()(const std::vector<uint32_t> &ids) const
+    {
+        uint64_t h = ids.size();
+        for (uint32_t id : ids)
+            h = (h ^ id) * 0x9E3779B97F4A7C15ull;
+        return static_cast<size_t>(h ^ (h >> 32));
+    }
+};
+
 } // namespace
 
 bool
@@ -37,39 +52,18 @@ PhaseRotationFolding::run(QuantumCircuit &qc) const
     if (n == 0 || n_gates == 0)
         return false;
 
-    // Symbol capacity: one initial symbol per wire plus one fresh symbol
-    // per wire slot of every untrackable gate.
-    size_t capacity = n;
-    for (const Gate &g : gates) {
-        switch (g.type) {
-          case GateType::CX:
-          case GateType::CZ:
-          case GateType::Swap:
-          case GateType::X:
-          case GateType::Rz:
-          case GateType::S:
-          case GateType::Sdg:
-          case GateType::Z:
-            break;
-          default:
-            capacity += isTwoQubit(g.type) ? 2u : 1u;
-        }
-    }
-    const size_t words = (capacity + 63) / 64;
-
-    // parity[w]: bitset of symbols whose xor is wire w's current value;
-    // neg[w]: the affine constant (X gates toggle it).
-    std::vector<std::vector<uint64_t>> parity(
-        n, std::vector<uint64_t>(words, 0));
+    // parity[w]: sorted ids of the symbols whose xor is wire w's current
+    // value; neg[w]: the affine constant (X gates toggle it). There are
+    // at most n symbols plus two per gate.
+    std::vector<std::vector<uint32_t>> parity(n);
     std::vector<uint8_t> neg(n, 0);
     for (uint32_t q = 0; q < n; ++q)
-        parity[q][q / 64] |= uint64_t(1) << (q % 64);
-    size_t next_symbol = n;
+        parity[q].push_back(q);
+    uint32_t next_symbol = n;
+    std::vector<uint32_t> merged; // CX work buffer, swapped with the target
 
     auto invalidate = [&](uint32_t w) {
-        std::fill(parity[w].begin(), parity[w].end(), uint64_t(0));
-        parity[w][next_symbol / 64] |= uint64_t(1) << (next_symbol % 64);
-        ++next_symbol;
+        parity[w].assign(1, next_symbol++);
         neg[w] = 0;
     };
 
@@ -81,7 +75,8 @@ PhaseRotationFolding::run(QuantumCircuit &qc) const
         uint8_t firstNeg; //!< wire negation at the first member
     };
     std::vector<Group> groups;
-    std::map<std::vector<uint64_t>, size_t> key_to_group;
+    std::unordered_map<std::vector<uint32_t>, size_t, SymbolSetHash>
+        key_to_group;
     // group_of[i] >= 0: gate i is a member of that rotation group.
     std::vector<std::ptrdiff_t> group_of(n_gates, -1);
 
@@ -103,8 +98,12 @@ PhaseRotationFolding::run(QuantumCircuit &qc) const
         }
         switch (g.type) {
           case GateType::CX:
-            for (size_t w = 0; w < words; ++w)
-                parity[g.q1][w] ^= parity[g.q0][w];
+            merged.clear();
+            std::set_symmetric_difference(
+                parity[g.q1].begin(), parity[g.q1].end(),
+                parity[g.q0].begin(), parity[g.q0].end(),
+                std::back_inserter(merged));
+            parity[g.q1].swap(merged);
             neg[g.q1] = static_cast<uint8_t>(neg[g.q1] ^ neg[g.q0]);
             break;
           case GateType::Swap:

@@ -29,6 +29,12 @@ namespace quclear {
  * occurrence (signs adjusted for negation); zero sums vanish entirely.
  * Two-qubit structure is never touched, so gate count and two-qubit
  * count never increase.
+ *
+ * A parity is a sorted list of symbol ids, so a CX costs a merge over
+ * the two wires' supports (about 11 ids on average on compiled
+ * programs) rather than a pass over every symbol, and keys are looked
+ * up in a hash map. Groups are numbered in order of first occurrence,
+ * so the output does not depend on the map.
  */
 class PhaseRotationFolding : public Pass
 {

@@ -380,7 +380,9 @@ TEST(NoiseModelTest, LegacyRngOverloadIsDeterministicAndDelegates)
  * channel with the shot's counter-based stream in the exact draw order
  * the batched sampler uses and inject the fault as explicit X/Y/Z
  * gates. The per-shot expectations must average to the batched
- * sampler's Heisenberg pull-back answer bit-for-bit.
+ * sampler's Heisenberg pull-back answer bit-for-bit. The observables
+ * are stabilizers of either sign, so the sign each fault contributes is
+ * checked, not only the fault count.
  */
 TEST(NoiseModelTest, BatchedSamplerMatchesPerShotReplayOracle)
 {
@@ -400,11 +402,22 @@ TEST(NoiseModelTest, BatchedSamplerMatchesPerShotReplayOracle)
     for (int trial = 0; trial < 4; ++trial) {
         const uint32_t n = 4;
         const QuantumCircuit qc = randomCliffordCircuit(n, 28, trial_rng);
-        PauliString obs(n);
+        // A stabilizer of qc|0...0> (a product of the tableau's Z
+        // images, negated on odd trials), so the ideal expectation is
+        // +-1 and every fault's sign flip shows in the answer. A random
+        // Pauli almost always has ideal expectation 0, which hides the
+        // sign rule.
+        const CliffordTableau tab = CliffordTableau::fromCircuit(qc);
+        PauliString obs = tab.imageZ(trial % n);
         for (uint32_t q = 0; q < n; ++q)
-            obs.setOp(q, static_cast<PauliOp>(trial_rng.uniformInt(4)));
-        if (obs.isIdentity())
-            obs.setOp(trial % n, PauliOp::Y);
+            if (q != trial % n && trial_rng.uniformInt(2) == 1)
+                obs.mulRight(tab.imageZ(q));
+        if (trial % 2 == 1)
+            obs.setPhase(static_cast<uint8_t>(obs.phase() + 2));
+        ReferenceStabilizerSimulator ideal(n);
+        ideal.applyCircuit(qc);
+        ASSERT_EQ(ideal.expectation(obs), trial % 2 == 1 ? -1 : 1)
+            << "trial " << trial;
 
         const size_t shots = 600;
         const uint64_t master = 5150 + static_cast<uint64_t>(trial);

@@ -97,6 +97,76 @@ TEST(QasmImportTest, PiExpressions)
     EXPECT_NEAR(qc.gate(10).angle, -1e-3, 1e-18);
 }
 
+TEST(QasmImportTest, ParenthesisedAngles)
+{
+    // The parameter list ends at the ')' that balances its '(', not at
+    // the first ')'.
+    const QuantumCircuit qc = fromQasm(
+        "OPENQASM 2.0;\n"
+        "qreg q[2];\n"
+        "rz(-(pi/2)) q[0];\n"
+        "rz((pi)/2) q[0];\n"
+        "rz(pi*(1+1)/4) q[1];\n"
+        "rz(((0.5))) q[1];\n"
+        "rx( ( pi ) * 2 ) q[0];\n"
+        "ry(-(1e-3 - 2e-3)*(pi)) q[1];\n"
+        "rz(2 * -pi/4 - -pi) q[0];\n");
+    ASSERT_EQ(qc.size(), 7u);
+    EXPECT_NEAR(qc.gate(0).angle, -kPi / 2, 1e-12);
+    EXPECT_NEAR(qc.gate(1).angle, kPi / 2, 1e-12);
+    EXPECT_NEAR(qc.gate(2).angle, kPi / 2, 1e-12);
+    EXPECT_EQ(qc.gate(2).q0, 1u);
+    EXPECT_DOUBLE_EQ(qc.gate(3).angle, 0.5);
+    EXPECT_EQ(qc.gate(4).type, GateType::Rx);
+    EXPECT_NEAR(qc.gate(4).angle, 2 * kPi, 1e-12);
+    EXPECT_NEAR(qc.gate(5).angle, 1e-3 * kPi, 1e-15);
+    EXPECT_NEAR(qc.gate(6).angle, kPi / 2, 1e-12);
+}
+
+TEST(QasmImportTest, UnbalancedParenthesesAreRejected)
+{
+    for (const char *stmt : { "rz((pi) q[0];", "rz(pi)) q[0];",
+                              "rz(pi)/2) q[0];", "rz(((0.5)) q[0];",
+                              "rz(()) q[0];", "rz(pi/(2) q[0];" }) {
+        EXPECT_THROW(fromQasm(std::string("OPENQASM 2.0; qreg q[1]; ") +
+                              stmt),
+                     std::invalid_argument)
+            << stmt;
+    }
+}
+
+TEST(QasmImportTest, OverDeepAngleNestingIsRejected)
+{
+    const std::string head = "OPENQASM 2.0; qreg q[1]; rz(";
+    auto nested = [](size_t depth) {
+        return std::string(depth, '(') + "pi" + std::string(depth, ')');
+    };
+    auto angle = [&](const std::string &expr) {
+        return fromQasm(head + expr + ") q[0];").gate(0).angle;
+    };
+    // 64 levels inside the parameter list parse; 65 do not.
+    EXPECT_NEAR(angle(nested(64)), kPi, 1e-12);
+    EXPECT_THROW(angle(nested(65)), std::invalid_argument);
+    // Sign runs and operator chains do not nest, however long.
+    const size_t big = size_t(1) << 20;
+    EXPECT_NEAR(angle(std::string(big + 1, '-') + "pi"), -kPi, 1e-12);
+    std::string chain = "pi";
+    for (size_t i = 0; i < big / 2; ++i)
+        chain += "*1";
+    EXPECT_NEAR(angle(chain), kPi, 1e-12);
+    // A million levels, balanced or not, end in a classified error
+    // rather than a stack overflow.
+    for (const std::string &expr : { nested(big), std::string(big, '(') }) {
+        try {
+            angle(expr);
+            ADD_FAILURE() << "accepted " << expr.size() << " characters";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("QASM parse error"),
+                      std::string::npos);
+        }
+    }
+}
+
 TEST(QasmImportTest, IgnoresMeasureCregBarrier)
 {
     const QuantumCircuit qc = fromQasm(

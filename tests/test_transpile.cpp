@@ -4,10 +4,14 @@
  * pass must preserve the circuit unitary — checked exactly on dense
  * statevectors — while removing the targeted patterns.
  */
+#include <cmath>
+
 #include <gtest/gtest.h>
 
+#include "benchgen/suite.hpp"
 #include "core/quclear.hpp"
 #include "reference_depth_scheduling.hpp"
+#include "reference_level3.hpp"
 #include "sim/statevector.hpp"
 #include "tableau/clifford_tableau.hpp"
 #include "test_support.hpp"
@@ -692,6 +696,171 @@ TEST(DepthSchedulingTest, SwapCircuitsStayEquivalentAndNoDeeper)
         DepthScheduling().run(qc);
         EXPECT_TRUE(circuitsEquivalent(before, qc)) << "trial " << trial;
         EXPECT_LE(entanglingDepth(qc), entanglingDepth(before));
+    }
+}
+
+/**
+ * Phase-polynomial-heavy circuits: CX and diagonal runs (angles often
+ * multiples of pi/4, so sums also cancel) broken by H/Rx/SX, which
+ * start a fresh parity symbol on their wire. A fifth of the gates are
+ * breakers, so a few thousand gates allocate well over 64 symbols and
+ * the seed pass's dense keys span several words.
+ */
+QuantumCircuit
+randomParityCircuit(uint32_t n, size_t gates, Rng &rng)
+{
+    QuantumCircuit qc(n);
+    const double quarter_pi = std::atan(1.0);
+    auto angle = [&] {
+        return rng.uniformInt(2) == 0
+                   ? quarter_pi * static_cast<double>(rng.uniformRange(-3, 4))
+                   : rng.uniformReal(-3, 3);
+    };
+    while (qc.size() < gates) {
+        const uint32_t q = static_cast<uint32_t>(rng.uniformInt(n));
+        const uint32_t r = static_cast<uint32_t>(rng.uniformInt(n));
+        switch (rng.uniformInt(20)) {
+          case 0: case 1: case 2: case 3: case 4: case 5: case 6:
+            if (r != q)
+                qc.cx(q, r);
+            break;
+          case 7: case 8: case 9: qc.rz(q, angle()); break;
+          case 10: qc.s(q); break;
+          case 11: qc.sdg(q); break;
+          case 12: qc.z(q); break;
+          case 13: qc.x(q); break;
+          case 14:
+            if (r != q)
+                qc.swap(q, r);
+            break;
+          case 15:
+            if (r != q)
+                qc.cz(q, r);
+            break;
+          case 16: case 17: qc.h(q); break;
+          case 18: qc.rx(q, angle()); break;
+          default: qc.sx(q); break;
+        }
+    }
+    return qc;
+}
+
+/** Same return value and the same circuit, angles bit for bit. */
+void
+expectIdentical(bool fast_changed, const QuantumCircuit &fast,
+                bool reference_changed, const QuantumCircuit &reference)
+{
+    EXPECT_EQ(fast_changed, reference_changed);
+    ASSERT_EQ(fast.size(), reference.size());
+    for (size_t i = 0; i < fast.size(); ++i)
+        ASSERT_TRUE(fast.gate(i) == reference.gate(i))
+            << "gate " << i << ": " << gateName(fast.gate(i).type) << " vs "
+            << gateName(reference.gate(i).type);
+}
+
+/**
+ * Run the production folding and cancellation passes (both merge
+ * modes) and their seed references on copies of @p qc, require
+ * identical results, and count the passes that rewrote the circuit.
+ */
+size_t
+expectLevel3PassesAgree(const QuantumCircuit &qc)
+{
+    size_t changed = 0;
+    {
+        QuantumCircuit fast = qc, reference = qc;
+        const bool fc = PhaseRotationFolding().run(fast);
+        expectIdentical(fc, fast, referencePhaseRotationFolding(reference),
+                        reference);
+        changed += fc ? 1 : 0;
+    }
+    for (bool merge : { true, false }) {
+        QuantumCircuit fast = qc, reference = qc;
+        const bool fc = CommutativeCancellation(merge).run(fast);
+        expectIdentical(fc, fast,
+                        referenceCommutativeCancellation(reference, merge),
+                        reference);
+        changed += fc ? 1 : 0;
+    }
+    return changed;
+}
+
+TEST(Level3ReferenceTest, PassesMatchReferenceOnSmallCircuits)
+{
+    Rng rng(1931);
+    size_t changed = 0;
+    for (int trial = 0; trial < 1500; ++trial) {
+        const uint32_t n = static_cast<uint32_t>(rng.uniformRange(2, 6));
+        const size_t gates = static_cast<size_t>(rng.uniformRange(1, 80));
+        const QuantumCircuit qc = trial % 2 == 0
+                                      ? randomParityCircuit(n, gates, rng)
+                                      : randomRichCircuit(n, gates, rng);
+        changed += expectLevel3PassesAgree(qc);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(changed, 1500u);
+}
+
+TEST(Level3ReferenceTest, PassesMatchReferenceOnWideCircuits)
+{
+    // 20-32 qubits and thousands of gates: hundreds of parity symbols,
+    // so the seed pass's keys are multi-word bitsets, and long wire
+    // walks between a gate and its partner.
+    Rng rng(4217);
+    size_t changed = 0;
+    for (int trial = 0; trial < 12; ++trial) {
+        const uint32_t n = static_cast<uint32_t>(rng.uniformRange(20, 32));
+        const size_t gates = static_cast<size_t>(rng.uniformRange(2000, 6000));
+        const QuantumCircuit qc = trial % 3 == 2
+                                      ? randomRichCircuit(n, gates, rng)
+                                      : randomParityCircuit(n, gates, rng);
+        changed += expectLevel3PassesAgree(qc);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_EQ(changed, 36u);
+}
+
+TEST(Level3ReferenceTest, PipelineMatchesReferenceOnWideCircuits)
+{
+    // The whole level-3 fixpoint, so the passes also see each other's
+    // output.
+    Rng rng(733);
+    const PassManager fast_pm = PassManager::level3();
+    const PassManager reference_pm = referenceLevel3();
+    for (int trial = 0; trial < 4; ++trial) {
+        QuantumCircuit fast = trial % 2 == 0
+                                  ? randomParityCircuit(24, 4000, rng)
+                                  : randomRichCircuit(24, 4000, rng);
+        QuantumCircuit reference = fast;
+        const size_t fast_sweeps = fast_pm.run(fast);
+        EXPECT_EQ(fast_sweeps, reference_pm.run(reference));
+        EXPECT_GT(fast_sweeps, 0u);
+        expectIdentical(true, fast, true, reference);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(Level3ReferenceTest, PassesMatchReferenceOnCompiledProgram)
+{
+    // A Table II program's raw U' and Clifford tail, then the level-3
+    // pipeline over both, as QuClear::compile runs it.
+    QuClearOptions options;
+    options.applyLocalOptimization = false;
+    options.optimizeDepth = false;
+    const CompiledProgram raw =
+        QuClear(options).compile(makeBenchmark("UCC-(4,8)").terms);
+    for (const QuantumCircuit *qc :
+         { &raw.extraction.optimized, &raw.extraction.extractedClifford }) {
+        EXPECT_GT(expectLevel3PassesAgree(*qc), 0u);
+        QuantumCircuit fast = *qc, reference = *qc;
+        const size_t sweeps = PassManager::level3().run(fast);
+        EXPECT_EQ(sweeps, referenceLevel3().run(reference));
+        expectIdentical(true, fast, true, reference);
+        if (HasFatalFailure())
+            return;
     }
 }
 
