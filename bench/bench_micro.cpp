@@ -12,13 +12,17 @@
  * and Pauli streams, and the DepthScheduling pair measures the run-DAG
  * scheduler against the seed pairwise-DAG one, the SabreRouting
  * pair measures the incremental router against the seed
- * rebuild-per-SWAP one, and the Level3 pair measures the level-3
+ * rebuild-per-SWAP one, the Level3 pair measures the level-3
  * pipeline against the same pipeline with the seed folding and
- * cancellation passes; the ...Batch variants record the batched
- * conjugation kernel against its scalar counterpart. CI records them
+ * cancellation passes, and the ExtractorCommutingBlock /
+ * ReferenceExtractor pair measures the bit-sliced pending cache and
+ * pruned find_next_pauli against the seed extractor on one commuting
+ * block (the 30/2048/1 arg is LABS-shaped); the ...Batch variants
+ * record the batched conjugation kernel against its scalar
+ * counterpart. CI records them
  * as JSON via
  *   bench_micro \
- *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|Absorb|NoiseMc|SimdPauli|DepthScheduling|Sabre|Level3' \
+ *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|ReferenceExtractor|Absorb|NoiseMc|SimdPauli|DepthScheduling|Sabre|Level3' \
  *     --benchmark_out=BENCH_tableau.json --benchmark_out_format=json
  */
 #include <benchmark/benchmark.h>
@@ -36,6 +40,7 @@
 #include "mapping/sabre_router.hpp"
 #include "pauli/pauli_term.hpp"
 #include "reference_depth_scheduling.hpp"
+#include "reference_extractor.hpp"
 #include "reference_level3.hpp"
 #include "reference_sabre_router.hpp"
 #include "reference_tableau.hpp"
@@ -321,29 +326,70 @@ BENCHMARK(BM_CrossBlockExtraction)
  * find_next_pauli path isolated from tree synthesis lookahead effects
  * (Z-only terms always commute, so the whole set is one block).
  */
-void
-BM_ExtractorCommutingBlock(benchmark::State &state)
+/**
+ * One commuting block of m Z-only terms on n qubits. With @p labs
+ * false each qubit carries Z with probability 1/4; with it true every
+ * term has weight 2-4 on distinct random qubits, the shape of a LABS
+ * QAOA cost layer (LABS-(n30) has 2,135 such terms in one block).
+ */
+std::vector<PauliTerm>
+commutingBlockTerms(uint32_t n, size_t m, bool labs)
 {
-    const uint32_t n = static_cast<uint32_t>(state.range(0));
-    const size_t m = static_cast<size_t>(state.range(1));
     Rng rng(11);
     std::vector<PauliTerm> terms;
     while (terms.size() < m) {
         PauliString p(n);
-        for (uint32_t q = 0; q < n; ++q)
-            if (rng.bernoulli(0.25))
-                p.setOp(q, PauliOp::Z);
+        if (labs) {
+            const uint64_t weight = 2 + rng.uniformInt(3);
+            while (p.weight() < weight)
+                p.setOp(static_cast<uint32_t>(rng.uniformInt(n)), PauliOp::Z);
+        } else {
+            for (uint32_t q = 0; q < n; ++q)
+                if (rng.bernoulli(0.25))
+                    p.setOp(q, PauliOp::Z);
+        }
         if (!p.isIdentity())
             terms.emplace_back(std::move(p), rng.uniformReal(-1, 1));
     }
+    return terms;
+}
+
+void
+BM_ExtractorCommutingBlock(benchmark::State &state)
+{
+    const size_t m = static_cast<size_t>(state.range(1));
+    const auto terms = commutingBlockTerms(
+        static_cast<uint32_t>(state.range(0)), m, state.range(2) != 0);
     ExtractionConfig config;
-    config.threads = 1; // keep the PR 2 perf-trend series sequential
+    config.threads = 1; // sequential, like BM_ReferenceExtractor
     const CliffordExtractor extractor(config);
     for (auto _ : state)
         benchmark::DoNotOptimize(extractor.run(terms));
-    state.SetItemsProcessed(state.iterations() * m);
+    state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(m));
 }
-BENCHMARK(BM_ExtractorCommutingBlock)->Args({ 64, 128 })->Args({ 128, 128 });
+BENCHMARK(BM_ExtractorCommutingBlock)
+    ->Args({ 64, 128, 0 })
+    ->Args({ 128, 128, 0 })
+    ->Args({ 30, 2048, 1 })
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_ReferenceExtractor(benchmark::State &state)
+{
+    const size_t m = static_cast<size_t>(state.range(1));
+    const auto terms = commutingBlockTerms(
+        static_cast<uint32_t>(state.range(0)), m, state.range(2) != 0);
+    ExtractionConfig config;
+    config.threads = 1;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(referenceCliffordExtract(terms, config));
+    state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(m));
+}
+BENCHMARK(BM_ReferenceExtractor)
+    ->Args({ 64, 128, 0 })
+    ->Args({ 128, 128, 0 })
+    ->Args({ 30, 2048, 1 })
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_AbsorbObservables(benchmark::State &state)

@@ -31,6 +31,22 @@ fail(const std::string &message)
     throw std::invalid_argument("QASM parse error: " + message);
 }
 
+/** Longest piece of the input an error message repeats. */
+constexpr size_t kMaxQuotedBytes = 64;
+
+/**
+ * Input text for an error message, in single quotes: at most
+ * kMaxQuotedBytes of it, then "..." when it was cut, so a hostile
+ * megabyte line cannot make a megabyte error.
+ */
+std::string
+quote(std::string_view text)
+{
+    if (text.size() <= kMaxQuotedBytes)
+        return "'" + std::string(text) + "'";
+    return "'" + std::string(text.substr(0, kMaxQuotedBytes)) + "...'";
+}
+
 /** Strip whitespace from both ends. */
 std::string
 trim(const std::string &s)
@@ -173,7 +189,7 @@ class AngleParser
         char *end = nullptr;
         const double value = std::strtod(token.c_str(), &end);
         if (end == token.c_str() || *end != '\0')
-            fail("cannot evaluate angle '" + token + "'");
+            fail("cannot evaluate angle " + quote(token));
         return value;
     }
 
@@ -230,12 +246,12 @@ parseQubit(const std::string &token, const std::string &reg_name,
     const size_t close = t.find(']');
     if (open == std::string::npos || close == std::string::npos ||
         close < open)
-        fail("malformed qubit reference '" + t + "'");
+        fail("malformed qubit reference " + quote(t));
     if (t.substr(0, open) != reg_name)
-        fail("unknown register '" + t.substr(0, open) + "'");
+        fail("unknown register " + quote(t.substr(0, open)));
     const auto idx = parseIndex(t.substr(open + 1, close - open - 1));
     if (!idx || *idx >= reg_size)
-        fail("qubit index out of range in '" + t + "'");
+        fail("qubit index out of range in " + quote(t));
     return static_cast<uint32_t>(*idx);
 }
 
@@ -308,7 +324,7 @@ fromQasm(const std::string &source)
                 parseIndex(stmt.substr(open + 1, close - open - 1));
             if (!size)
                 fail("qreg size must be an integer of at most " +
-                     std::to_string(kMaxQasmQubits) + " in '" + stmt + "'");
+                     std::to_string(kMaxQasmQubits) + " in " + quote(stmt));
             if (*size == 0)
                 fail("qreg size must be positive");
             reg_size = static_cast<uint32_t>(*size);
@@ -331,12 +347,12 @@ fromQasm(const std::string &source)
         if (!rest.empty() && rest.front() == '(') {
             const size_t close = matchingParen(rest);
             if (close == std::string::npos)
-                fail("unterminated parameter list in '" + stmt + "'");
+                fail("unterminated parameter list in " + quote(stmt));
             angle =
                 AngleParser(std::string_view(rest).substr(1, close - 1))
                     .parse();
             if (!std::isfinite(angle))
-                fail("non-finite angle in '" + stmt + "'");
+                fail("non-finite angle in " + quote(stmt));
             has_angle = true;
             rest = trim(rest.substr(close + 1));
         }
@@ -350,23 +366,23 @@ fromQasm(const std::string &source)
 
         if (auto it = rotations.find(name); it != rotations.end()) {
             if (!has_angle || qubits.size() != 1)
-                fail("rotation '" + name + "' needs (angle) and 1 qubit");
+                fail("rotation " + quote(name) + " needs (angle) and 1 qubit");
             qc.append(Gate(it->second, qubits[0], angle));
         } else if (auto it1 = one_qubit.find(name);
                    it1 != one_qubit.end()) {
             if (has_angle || qubits.size() != 1)
-                fail("gate '" + name + "' takes exactly 1 qubit");
+                fail("gate " + quote(name) + " takes exactly 1 qubit");
             qc.append(Gate(it1->second, qubits[0]));
         } else if (auto it2 = two_qubit.find(name);
                    it2 != two_qubit.end()) {
             if (has_angle || qubits.size() != 2)
-                fail("gate '" + name + "' takes exactly 2 qubits");
+                fail("gate " + quote(name) + " takes exactly 2 qubits");
             if (qubits[0] == qubits[1])
-                fail("gate '" + name + "' repeats qubit operand in '" +
-                     stmt + "'");
+                fail("gate " + quote(name) + " repeats qubit operand in " +
+                     quote(stmt));
             qc.append(Gate(it2->second, qubits[0], qubits[1]));
         } else {
-            fail("unsupported gate '" + name + "'");
+            fail("unsupported gate " + quote(name));
         }
     }
 

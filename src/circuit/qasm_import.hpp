@@ -32,7 +32,8 @@ constexpr uint32_t kMaxQasmQubits = 65536;
  * ignored). Register sizes and qubit indices are plain decimal
  * integers; a qreg larger than kMaxQasmQubits is rejected.
  *
- * @throws std::invalid_argument on malformed input or unsupported gates
+ * @throws std::invalid_argument on malformed input or unsupported gates;
+ *         the message quotes at most 64 bytes of the offending input
  */
 QuantumCircuit fromQasm(const std::string &source);
 

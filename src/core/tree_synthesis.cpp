@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <utility>
@@ -10,6 +11,9 @@
 namespace quclear {
 
 namespace {
+
+/** Largest support the exhaustive search takes: one 64-bit mask. */
+constexpr size_t kMaxExhaustiveSet = 64;
 
 /** Weight contribution of an (x, z) bit pair. */
 inline int
@@ -165,16 +169,36 @@ TreeSynthesizer::exhaustive(const std::vector<uint32_t> &idxs)
     // matters, or the exhaustive choice is myopically optimal for the
     // next rotation while hurting later ones (see bench_ablation).
     constexpr uint32_t kScoreDepth = 8;
-    std::vector<PauliString> looks;
-    for (uint32_t d = 0; d < kScoreDepth; ++d) {
-        PauliString p;
-        if (!lookaheadAt(d, p))
-            break;
-        looks.push_back(std::move(p));
-    }
-    if (looks.empty())
+    const size_t depth = std::min<size_t>(
+        { kScoreDepth, config_.maxLookahead, lookahead_.size() });
+    if (depth == 0)
         return chain(idxs);
-    const size_t depth = looks.size();
+
+    // A CX inside the set leaves a lookahead Pauli's weight outside the
+    // set unchanged, so each one is projected onto the set: bit i of
+    // x[d] / z[d] is its x / z bit at idxs[i], and its weight is that
+    // popcount plus the fixed weight outside. Signs do not score.
+    const size_t k = idxs.size();
+    assert(k <= kMaxExhaustiveSet);
+    std::array<uint64_t, kScoreDepth> x{}, z{};
+    std::array<uint32_t, kScoreDepth> outside{};
+    for (size_t d = 0; d < depth; ++d) {
+        const PauliString &p = lookahead_[d];
+        for (size_t i = 0; i < k; ++i) {
+            x[d] |= static_cast<uint64_t>(p.xBit(idxs[i])) << i;
+            z[d] |= static_cast<uint64_t>(p.zBit(idxs[i])) << i;
+        }
+        outside[d] =
+            p.weight() - static_cast<uint32_t>(std::popcount(x[d] | z[d]));
+    }
+    // CX conjugation on set positions a -> b: x_b ^= x_a, z_a ^= z_b.
+    // It is an involution, so applying it again undoes it.
+    const auto cx = [&](uint32_t a, uint32_t b) {
+        for (size_t d = 0; d < depth; ++d) {
+            x[d] ^= ((x[d] >> a) & 1) << b;
+            z[d] ^= ((z[d] >> b) & 1) << a;
+        }
+    };
 
     std::vector<Gate> best_seq;
     std::array<uint32_t, kScoreDepth> best_score;
@@ -182,14 +206,19 @@ TreeSynthesizer::exhaustive(const std::vector<uint32_t> &idxs)
     std::vector<Gate> seq;
     seq.reserve(idxs.size());
 
-    // Depth-first over merge sequences. State: remaining set, conjugated
-    // lookahead copies. Sets are small (<= exhaustiveThreshold).
-    auto dfs = [&](auto &&self, std::vector<uint32_t> &set,
-                   std::vector<PauliString> &ls) -> void {
+    // Depth-first over merge sequences, in place: a branch applies
+    // CX(c, t) to the projections and erases the control from the
+    // remaining set (of set positions); undoing it applies the same CX
+    // again and re-inserts the control at its index.
+    std::vector<uint32_t> set(k);
+    for (size_t i = 0; i < k; ++i)
+        set[i] = static_cast<uint32_t>(i);
+    auto dfs = [&](auto &&self) -> void {
         if (set.size() == 1) {
             std::array<uint32_t, kScoreDepth> score{};
             for (size_t d = 0; d < depth; ++d)
-                score[d] = ls[d].weight();
+                score[d] = outside[d] +
+                           static_cast<uint32_t>(std::popcount(x[d] | z[d]));
             if (score < best_score) {
                 best_score = score;
                 best_seq = seq;
@@ -202,21 +231,17 @@ TreeSynthesizer::exhaustive(const std::vector<uint32_t> &idxs)
                     continue;
                 const uint32_t c = set[ci];
                 const uint32_t t = set[ti];
-                std::vector<PauliString> saved = ls;
-                for (auto &l : ls)
-                    l.applyCX(c, t);
-                std::vector<uint32_t> sub = set;
-                sub.erase(sub.begin() + static_cast<std::ptrdiff_t>(ci));
-                seq.emplace_back(GateType::CX, c, t);
-                self(self, sub, ls);
+                cx(c, t);
+                set.erase(set.begin() + static_cast<std::ptrdiff_t>(ci));
+                seq.emplace_back(GateType::CX, idxs[c], idxs[t]);
+                self(self);
                 seq.pop_back();
-                ls = std::move(saved);
+                set.insert(set.begin() + static_cast<std::ptrdiff_t>(ci), c);
+                cx(c, t);
             }
         }
     };
-
-    std::vector<uint32_t> set = idxs;
-    dfs(dfs, set, looks);
+    dfs(dfs);
 
     for (const Gate &g : best_seq)
         emitCx(g.q0, g.q1);
@@ -331,7 +356,8 @@ uint32_t
 TreeSynthesizer::synthesize(const std::vector<uint32_t> &tree_idxs)
 {
     if (tree_idxs.size() >= 2 && config_.maxLookahead > 0) {
-        if (tree_idxs.size() <= config_.exhaustiveThreshold)
+        if (tree_idxs.size() <= config_.exhaustiveThreshold &&
+            tree_idxs.size() <= kMaxExhaustiveSet)
             return exhaustive(tree_idxs);
         if (config_.beamWidth > 0)
             return beam(tree_idxs);

@@ -51,7 +51,9 @@ struct TreeSynthesisConfig
      * every parity-tree schedule, scored lexicographically by the weights
      * of the first lookahead Paulis. This finds the cross-group
      * "conversion" trees of the paper's Fig. 2 walk-through that the
-     * grouped greedy misses. 0 disables exhaustive search.
+     * grouped greedy misses. 0 disables exhaustive search. Supports
+     * above 64 qubits never take it: their search could not finish
+     * anyway.
      */
     uint32_t exhaustiveThreshold = 4;
 

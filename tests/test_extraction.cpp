@@ -3,16 +3,27 @@
  * Correctness tests for Clifford Extraction (Algorithm 2): the paper's
  * central invariant U = U_CL . U' is verified exactly on dense
  * statevectors for random programs and for the paper's own examples
- * (Fig. 2), and the CNOT-count benefits are sanity-checked.
+ * (Fig. 2), and the CNOT-count benefits are sanity-checked. The
+ * ExtractorReferenceTest suite requires the production extractor to
+ * compile every program bit for bit like the seed extractor
+ * (tests/support/reference_extractor.hpp).
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "benchgen/graphs.hpp"
+#include "benchgen/labs.hpp"
+#include "benchgen/maxcut.hpp"
+#include "benchgen/molecules.hpp"
+#include "benchgen/uccsd.hpp"
 #include "circuit/circuit_stats.hpp"
 #include "core/clifford_extractor.hpp"
 #include "pauli/pauli_list.hpp"
+#include "reference_extractor.hpp"
 #include "sim/expectation.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace quclear {
@@ -208,6 +219,155 @@ TEST(ExtractionTest, EntanglingDepthNotLargerThanNaive)
     for (const auto &t : terms)
         naive += 2 * (t.pauli.weight() - 1);
     EXPECT_LE(result.optimized.twoQubitCount(), naive);
+}
+
+
+/** Production and seed extractor must agree bit for bit. */
+void
+expectMatchesReference(const std::vector<PauliTerm> &terms,
+                       const ExtractionConfig &config, const std::string &what)
+{
+    const ExtractionResult got = CliffordExtractor(config).run(terms);
+    const ExtractionResult want = referenceCliffordExtract(terms, config);
+    EXPECT_EQ(got.optimized.numQubits(), want.optimized.numQubits()) << what;
+    EXPECT_TRUE(got.optimized.gates() == want.optimized.gates())
+        << what << ": U' differs (" << got.optimized.size() << " vs "
+        << want.optimized.size() << " gates)";
+    EXPECT_TRUE(got.extractedClifford.gates() ==
+                want.extractedClifford.gates())
+        << what << ": tail differs";
+    EXPECT_TRUE(got.conjugator == want.conjugator)
+        << what << ": conjugator differs";
+    EXPECT_EQ(got.rotationTerms, want.rotationTerms) << what;
+}
+
+/**
+ * @p k mutually commuting mixed X/Y/Z terms on @p n qubits: random
+ * Z-strings (identity allowed), each pushed through one shared random
+ * Clifford circuit, a fifth of them negated.
+ */
+std::vector<PauliTerm>
+commutingBlock(uint32_t n, size_t k, size_t clifford_gates, Rng &rng)
+{
+    std::vector<Gate> clifford;
+    for (size_t i = 0; i < clifford_gates; ++i)
+        clifford.push_back(randomCliffordGate(n, rng));
+    std::vector<PauliTerm> block;
+    while (block.size() < k) {
+        PauliString p(n);
+        for (uint32_t q = 0; q < n; ++q)
+            if (rng.bernoulli(0.4))
+                p.setOp(q, PauliOp::Z);
+        if (rng.bernoulli(0.2))
+            p.setPhase(2);
+        for (const Gate &g : clifford)
+            applyGateToPauli(p, g);
+        block.emplace_back(std::move(p), rng.uniformReal(-1.5, 1.5));
+    }
+    return block;
+}
+
+/** Blocks of 63, 64, 65 and 130 commuting rows, in that order. */
+std::vector<PauliTerm>
+wordEdgeBlocks(uint32_t n, size_t clifford_gates, Rng &rng)
+{
+    std::vector<PauliTerm> terms;
+    for (const size_t k : { 63u, 64u, 65u, 130u }) {
+        const auto block = commutingBlock(n, k, clifford_gates, rng);
+        terms.insert(terms.end(), block.begin(), block.end());
+    }
+    return terms;
+}
+
+/** The compile-mid perfbench shapes (structure seeds included). */
+std::vector<std::pair<std::string, std::vector<PauliTerm>>>
+compileMidPrograms()
+{
+    const auto structure = [](uint32_t a, uint64_t b) {
+        return 0x51C0FFEEULL ^ (static_cast<uint64_t>(a) << 32) ^ b;
+    };
+    std::vector<std::pair<std::string, std::vector<PauliTerm>>> out;
+    out.emplace_back("UCC-(4,8)", uccsdAnsatz(4, 8, 11));
+    out.emplace_back("UCC-(6,12)", uccsdAnsatz(6, 12, 12));
+    out.emplace_back("LiH", syntheticMolecule(6, 61, structure(6, 61)));
+    out.emplace_back("H2O", syntheticMolecule(8, 184, structure(8, 184)));
+    out.emplace_back("benzene",
+                     syntheticMolecule(12, 1254, structure(12, 1254)));
+    for (const uint32_t n : { 15u, 20u, 25u, 30u })
+        out.emplace_back("LABS-(n" + std::to_string(n) + ")",
+                         labsQaoa(n, 0.41, 0.93));
+    out.emplace_back(
+        "MaxCut-(n20,r8)",
+        maxcutQaoa(randomRegularGraph(20, 8, structure(20, 8)), 1, 0.7, 0.3));
+    out.emplace_back(
+        "MaxCut-(n20,e117)",
+        maxcutQaoa(randomGraph(20, 117, structure(20, 117u << 8)), 1, 0.7,
+                   0.3));
+    return out;
+}
+
+TEST(ExtractorReferenceTest, CompileMidInstancesMatch)
+{
+    ExtractionConfig sequential;
+    sequential.threads = 1;
+    for (const auto &[name, terms] : compileMidPrograms())
+        expectMatchesReference(terms, sequential, name);
+}
+
+TEST(ExtractorReferenceTest, BlocksAtWordEdgesMatch)
+{
+    Rng rng(4099);
+    for (const uint32_t n : { 10u, 70u }) {
+        const auto terms = wordEdgeBlocks(n, 6 * n, rng);
+        const auto blocks = commutingBlocks(terms);
+        ASSERT_EQ(blocks.size(), 4u) << "n=" << n;
+        EXPECT_EQ(blocks[0].size(), 63u);
+        EXPECT_EQ(blocks[1].size(), 64u);
+        EXPECT_EQ(blocks[2].size(), 65u);
+        EXPECT_EQ(blocks[3].size(), 130u);
+        expectMatchesReference(terms, {}, "word-edge blocks, n=" +
+                                              std::to_string(n));
+    }
+}
+
+TEST(ExtractorReferenceTest, QubitCountsAtWordEdgesMatch)
+{
+    Rng rng(4111);
+    for (const uint32_t n : { 63u, 64u, 65u, 130u }) {
+        const std::string at = "n=" + std::to_string(n);
+        // Sparse terms (mean weight ~5-9): many chains, mixed blocks.
+        expectMatchesReference(randomSupportTerms(n, 160, 0.93, rng), {},
+                               "sparse, " + at);
+        // Two dense commuting blocks spanning the whole register.
+        auto terms = commutingBlock(n, 40, 3 * n, rng);
+        const auto second = commutingBlock(n, 40, 3 * n, rng);
+        terms.insert(terms.end(), second.begin(), second.end());
+        expectMatchesReference(terms, {}, "dense blocks, " + at);
+    }
+}
+
+TEST(ExtractorReferenceTest, ConfigVariantsMatch)
+{
+    std::vector<std::pair<std::string, ExtractionConfig>> variants(6);
+    variants[0].first = "default";
+    variants[1].first = "useCommutingBlocks=false";
+    variants[1].second.useCommutingBlocks = false;
+    variants[2].first = "recursive=false";
+    variants[2].second.tree.recursive = false;
+    variants[3].first = "maxLookahead=0";
+    variants[3].second.tree.maxLookahead = 0;
+    variants[4].first = "beamWidth=8";
+    variants[4].second.tree.beamWidth = 8;
+    variants[5].first = "exhaustiveThreshold=0";
+    variants[5].second.tree.exhaustiveThreshold = 0;
+
+    Rng rng(4127);
+    const auto blocks = wordEdgeBlocks(10, 60, rng);
+    const auto sparse = randomSupportTerms(65, 120, 0.96, rng);
+    for (const auto &[name, config] : variants) {
+        expectMatchesReference(blocks, config, "word-edge blocks, " + name);
+        expectMatchesReference(sparse, config, "sparse n=65, " + name);
+    }
 }
 
 } // namespace

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "circuit/qasm.hpp"
 #include "circuit/qasm_import.hpp"
 #include "sim/statevector.hpp"
@@ -163,6 +166,35 @@ TEST(QasmImportTest, OverDeepAngleNestingIsRejected)
         } catch (const std::invalid_argument &e) {
             EXPECT_NE(std::string(e.what()).find("QASM parse error"),
                       std::string::npos);
+        }
+    }
+}
+
+TEST(QasmImportTest, ErrorsQuoteABoundedPrefixOfHostileInput)
+{
+    // Each statement is about 1 MB and fails at a different check that
+    // quotes input; the message must stay short either way.
+    const std::string big(size_t(1) << 20, '9');
+    const std::string head = "OPENQASM 2.0; qreg q[2]; ";
+    const std::vector<std::string> programs = {
+        head + "rz(" + std::string(big.size(), '(') + "pi) q[0];",
+        head + "rz(" + std::string(big.size(), 'x') + ") q[0];",
+        head + "rz(" + big + ") q[0];", // overflows to inf
+        head + "h " + std::string(big.size(), 'q') + ";",
+        head + "h " + std::string(big.size(), 'r') + "[0];",
+        head + "h q[" + big + "];",
+        head + std::string(big.size(), 'a') + " q[0];",
+        head + "cx q[0]," + std::string(big.size(), ' ') + "q[0];",
+        "OPENQASM 2.0; qreg q[" + big + "];",
+    };
+    for (const std::string &qasm : programs) {
+        try {
+            fromQasm(qasm);
+            ADD_FAILURE() << "accepted a " << qasm.size() << "-byte program";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_LT(what.size(), 256u) << what.substr(0, 300);
+            EXPECT_EQ(what.rfind("QASM parse error", 0), 0u) << what;
         }
     }
 }

@@ -364,6 +364,20 @@ TEST(JobRunner, RunnerErrorCodes)
     }
 }
 
+TEST(JobRunner, HostileQasmLineGetsAShortQasmParseError)
+{
+    // A 1 MB statement must come back as a short classified error,
+    // not as a result line that repeats it.
+    const std::string line = R"({"qasm":"OPENQASM 2.0; qreg q[1]; rz()" +
+                             std::string(size_t(1) << 20, '(') +
+                             R"(pi) q[0];"})";
+    const ParsedJob parsed = parseJobLine(line, 0);
+    ASSERT_EQ(parsed.error, ServiceError::None);
+    const std::string out = runJobLine(parsed.request, 0);
+    EXPECT_LT(out.size(), 1024u);
+    EXPECT_EQ(errorCodeOf(parseResult(out)), "qasm-parse");
+}
+
 TEST(JobRunner, NoiseObservableMismatchIsInvalidJob)
 {
     const ParsedJob parsed = parseJobLine(

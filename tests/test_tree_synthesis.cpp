@@ -4,11 +4,13 @@
  * w-1 CNOTs folding the support into one parity root), the Table-I
  * weight-delta model, lookahead-driven optimization including the
  * paper's Fig. 2 and Fig. 7 walk-throughs, and the cheap cost model of
- * find_next_pauli.
+ * find_next_pauli together with the lower bound the extractor prunes
+ * its candidates with.
  */
 #include <gtest/gtest.h>
 
 #include "core/tree_synthesis.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace quclear {
@@ -224,6 +226,44 @@ TEST(NonRecursiveCostTest, MatchesIntuition)
             continue;
         EXPECT_LE(nonRecursiveExtractionCost(cur, cand),
                   cand.weight() + cur.weight());
+    }
+}
+
+TEST(NonRecursiveCostTest, PruningLowerBoundHolds)
+{
+    // The extractor skips a candidate when
+    //   |supp(cand) \ supp(curr)| + [supp(cand) meets supp(curr)]
+    // is not below the best cost so far. That is exact only if the
+    // bound never exceeds the cost: the basis layer and tree act on
+    // supp(curr) alone and keep a non-identity restriction non-identity.
+    Rng rng(419);
+    PauliString scratch;
+    for (const uint32_t n : { 3u, 17u, 64u, 65u, 130u }) {
+        for (int trial = 0; trial < 400; ++trial) {
+            // Supports from dense to sparse; identity candidates too.
+            const double cur_bias = rng.uniformReal(0.0, 0.97);
+            const double cand_bias = rng.uniformReal(0.0, 1.0);
+            const PauliString cur = randomSupportPauli(n, rng, cur_bias);
+            const PauliString cand = randomSupportPauli(n, rng, cand_bias);
+            if (cur.isIdentity())
+                continue;
+            uint32_t outside = 0;
+            bool overlap = false;
+            cand.forEachSupport([&](uint32_t q, PauliOp) {
+                if (cur.op(q) == PauliOp::I)
+                    ++outside;
+                else
+                    overlap = true;
+            });
+            const uint32_t cost =
+                nonRecursiveExtractionCost(cur, cand, scratch);
+            ASSERT_GE(cost, outside + (overlap ? 1u : 0u))
+                << "n=" << n << " cur=" << cur.toLabel()
+                << " cand=" << cand.toLabel();
+            if (!overlap) {
+                EXPECT_EQ(cost, outside); // disjoint: nothing moves
+            }
+        }
     }
 }
 
