@@ -17,21 +17,31 @@
  * cancellation passes, and the ExtractorCommutingBlock /
  * ReferenceExtractor pair measures the bit-sliced pending cache and
  * pruned find_next_pauli against the seed extractor on one commuting
- * block (the 30/2048/1 arg is LABS-shaped); the ...Batch variants
+ * block (the 30/2048/1 arg is LABS-shaped), the QasmImport and
+ * CircuitToPauliProgram pairs measure the service front end against
+ * the seed importer and the seed prepend-per-gate rewrite on the QASM
+ * a served job sends, and TreeBeam times the portfolio's width-8 beam
+ * search over one k-qubit support; the ...Batch variants
  * record the batched conjugation kernel against its scalar
  * counterpart. CI records them
  * as JSON via
  *   bench_micro \
- *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|ReferenceExtractor|Absorb|NoiseMc|SimdPauli|DepthScheduling|Sabre|Level3' \
+ *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|ReferenceExtractor|Absorb|NoiseMc|SimdPauli|DepthScheduling|Sabre|Level3|Qasm|CircuitToPauli|TreeBeam' \
  *     --benchmark_out=BENCH_tableau.json --benchmark_out_format=json
  */
 #include <benchmark/benchmark.h>
 
 #include <string>
 
+#include "baselines/naive_synthesis.hpp"
+#include "benchgen/labs.hpp"
 #include "benchgen/suite.hpp"
+#include "benchgen/uccsd.hpp"
+#include "circuit/qasm.hpp"
+#include "circuit/qasm_import.hpp"
 #include "core/absorption_post.hpp"
 #include "core/absorption_pre.hpp"
+#include "core/circuit_to_paulis.hpp"
 #include "core/clifford_extractor.hpp"
 #include "core/quclear.hpp"
 #include "core/diagonalization.hpp"
@@ -41,6 +51,7 @@
 #include "pauli/pauli_term.hpp"
 #include "reference_depth_scheduling.hpp"
 #include "reference_extractor.hpp"
+#include "reference_frontend.hpp"
 #include "reference_level3.hpp"
 #include "reference_sabre_router.hpp"
 #include "reference_tableau.hpp"
@@ -266,6 +277,101 @@ BM_TreeSynthesis(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TreeSynthesis)->Arg(8)->Arg(16)->Arg(32);
+
+/**
+ * QASM as a served job sends it: toQasm of a benchgen family's naive
+ * synthesis. Arg 0 = LABS-(n20), arg 1 = UCC-(2,12).
+ */
+const std::string &
+frontEndQasm(int64_t which)
+{
+    static const std::string labs = toQasm(naiveSynthesis(labsQaoa(20)));
+    static const std::string ucc =
+        toQasm(naiveSynthesis(uccsdAnsatz(2, 12, 1)));
+    return which == 0 ? labs : ucc;
+}
+
+template <QuantumCircuit (*Import)(const std::string &)>
+void
+qasmImport(benchmark::State &state)
+{
+    const std::string &qasm = frontEndQasm(state.range(0));
+    size_t gates = 0;
+    for (auto _ : state) {
+        const QuantumCircuit qc = Import(qasm);
+        gates = qc.size();
+        benchmark::DoNotOptimize(qc.gates().data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(gates));
+}
+
+void
+BM_QasmImport(benchmark::State &state)
+{
+    qasmImport<fromQasm>(state);
+}
+BENCHMARK(BM_QasmImport)->Arg(0)->Arg(1);
+
+void
+BM_ReferenceQasmImport(benchmark::State &state)
+{
+    qasmImport<referenceFromQasm>(state);
+}
+BENCHMARK(BM_ReferenceQasmImport)->Arg(0)->Arg(1);
+
+template <PauliProgram (*Rewrite)(const QuantumCircuit &)>
+void
+circuitToPauli(benchmark::State &state)
+{
+    const QuantumCircuit qc = fromQasm(frontEndQasm(state.range(0)));
+    for (auto _ : state) {
+        const PauliProgram program = Rewrite(qc);
+        benchmark::DoNotOptimize(program.terms.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(qc.size()));
+}
+
+void
+BM_CircuitToPauliProgram(benchmark::State &state)
+{
+    circuitToPauli<circuitToPauliProgram>(state);
+}
+BENCHMARK(BM_CircuitToPauliProgram)->Arg(0)->Arg(1);
+
+void
+BM_ReferenceCircuitToPauliProgram(benchmark::State &state)
+{
+    circuitToPauli<referenceCircuitToPauliProgram>(state);
+}
+BENCHMARK(BM_ReferenceCircuitToPauliProgram)->Arg(0)->Arg(1);
+
+void
+BM_TreeBeam(benchmark::State &state)
+{
+    // The portfolio's beam8 candidate on one k-qubit support, scored
+    // against eight random lookahead Paulis.
+    const uint32_t k = static_cast<uint32_t>(state.range(0));
+    Rng rng(5);
+    std::vector<PauliString> looks;
+    for (int d = 0; d < 8; ++d)
+        looks.push_back(randomPauli(k, rng));
+    std::vector<uint32_t> support(k);
+    for (uint32_t q = 0; q < k; ++q)
+        support[q] = q;
+    TreeSynthesisConfig config;
+    config.exhaustiveThreshold = 0;
+    config.beamWidth = 8;
+    for (auto _ : state) {
+        CliffordTableau acc(k);
+        QuantumCircuit tree(k);
+        TreeSynthesizer synth(acc, tree, looks, config);
+        benchmark::DoNotOptimize(synth.synthesize(support));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TreeBeam)->Arg(4)->Arg(12)->Arg(30)->Arg(70);
 
 void
 BM_CliffordExtraction(benchmark::State &state)

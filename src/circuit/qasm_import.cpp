@@ -1,16 +1,14 @@
 #include "circuit/qasm_import.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <map>
+#include <cstring>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace quclear {
 
@@ -47,14 +45,37 @@ quote(std::string_view text)
     return "'" + std::string(text.substr(0, kMaxQuotedBytes)) + "...'";
 }
 
+/**
+ * @name Character classes of the "C" locale, inlined: QASM is read as
+ * bytes, and the <cctype> calls took half of the import time.
+ * @{ */
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+bool
+isAlnum(char c)
+{
+    return isDigit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+/** @} */
+
 /** Strip whitespace from both ends. */
-std::string
-trim(const std::string &s)
+std::string_view
+trim(std::string_view s)
 {
     size_t a = 0, b = s.size();
-    while (a < b && std::isspace(static_cast<unsigned char>(s[a])))
+    while (a < b && isSpace(s[a]))
         ++a;
-    while (b > a && std::isspace(static_cast<unsigned char>(s[b - 1])))
+    while (b > a && isSpace(s[b - 1]))
         --b;
     return s.substr(a, b - a);
 }
@@ -71,15 +92,35 @@ isExponentSign(std::string_view expr, size_t i)
     if (i < 2 || (expr[i - 1] != 'e' && expr[i - 1] != 'E'))
         return false;
     size_t start = i - 1;
-    while (start > 0 &&
-           (std::isdigit(static_cast<unsigned char>(expr[start - 1])) ||
-            expr[start - 1] == '.'))
+    while (start > 0 && (isDigit(expr[start - 1]) || expr[start - 1] == '.'))
         --start;
     if (start == i - 1)
         return false; // no mantissa digits before the 'e'
     return start == 0 ||
-           !(std::isalnum(static_cast<unsigned char>(expr[start - 1])) ||
-             expr[start - 1] == '_');
+           !(isAlnum(expr[start - 1]) || expr[start - 1] == '_');
+}
+
+/**
+ * strtod over exactly @p token: true iff it reads a number and stops
+ * only at the token's end (or at an embedded NUL, as on a C string).
+ * Short tokens are terminated in a stack buffer.
+ */
+bool
+parseDouble(std::string_view token, double &value)
+{
+    char buf[64];
+    std::string heap;
+    const char *text = buf;
+    if (token.size() < sizeof buf) {
+        std::memcpy(buf, token.data(), token.size());
+        buf[token.size()] = '\0';
+    } else {
+        heap.assign(token);
+        text = heap.c_str();
+    }
+    char *end = nullptr;
+    value = std::strtod(text, &end);
+    return end != text && *end == '\0';
 }
 
 /**
@@ -114,8 +155,7 @@ class AngleParser
     char
     peek()
     {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
+        while (pos_ < text_.size() && isSpace(text_[pos_]))
             ++pos_;
         return pos_ < text_.size() ? text_[pos_] : '\0';
     }
@@ -176,19 +216,17 @@ class AngleParser
         const size_t start = pos_;
         for (; pos_ < text_.size(); ++pos_) {
             const char c = text_[pos_];
-            if (c == '(' || c == ')' || c == '*' || c == '/' ||
-                std::isspace(static_cast<unsigned char>(c)) ||
+            if (c == '(' || c == ')' || c == '*' || c == '/' || isSpace(c) ||
                 ((c == '+' || c == '-') && !isExponentSign(text_, pos_)))
                 break;
         }
-        const std::string token(text_.substr(start, pos_ - start));
+        const std::string_view token = text_.substr(start, pos_ - start);
         if (token.empty())
             fail("empty angle expression");
         if (token == "pi")
             return kPi;
-        char *end = nullptr;
-        const double value = std::strtod(token.c_str(), &end);
-        if (end == token.c_str() || *end != '\0')
+        double value;
+        if (!parseDouble(token, value))
             fail("cannot evaluate angle " + quote(token));
         return value;
     }
@@ -202,7 +240,7 @@ class AngleParser
  * parentheses never balance.
  */
 size_t
-matchingParen(const std::string &s)
+matchingParen(std::string_view s)
 {
     size_t depth = 0;
     for (size_t i = 0; i < s.size(); ++i) {
@@ -211,7 +249,7 @@ matchingParen(const std::string &s)
         else if (s[i] == ')' && --depth == 0)
             return i;
     }
-    return std::string::npos;
+    return std::string_view::npos;
 }
 
 /**
@@ -220,14 +258,14 @@ matchingParen(const std::string &s)
  * number or exceeds kMaxQasmQubits, so no value can wrap around.
  */
 std::optional<uint64_t>
-parseIndex(const std::string &text)
+parseIndex(std::string_view text)
 {
-    const std::string digits = trim(text);
+    const std::string_view digits = trim(text);
     if (digits.empty())
         return std::nullopt;
     uint64_t value = 0;
     for (char c : digits) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
+        if (!isDigit(c))
             return std::nullopt;
         value = value * 10 + static_cast<uint64_t>(c - '0');
         if (value > kMaxQasmQubits)
@@ -238,13 +276,13 @@ parseIndex(const std::string &text)
 
 /** Parse "q[3]" (or "name[3]") and return the index. */
 uint32_t
-parseQubit(const std::string &token, const std::string &reg_name,
+parseQubit(std::string_view token, std::string_view reg_name,
            uint32_t reg_size)
 {
-    const std::string t = trim(token);
+    const std::string_view t = trim(token);
     const size_t open = t.find('[');
     const size_t close = t.find(']');
-    if (open == std::string::npos || close == std::string::npos ||
+    if (open == std::string_view::npos || close == std::string_view::npos ||
         close < open)
         fail("malformed qubit reference " + quote(t));
     if (t.substr(0, open) != reg_name)
@@ -255,142 +293,223 @@ parseQubit(const std::string &token, const std::string &reg_name,
     return static_cast<uint32_t>(*idx);
 }
 
+/** How a gate name takes its operands. */
+enum class GateShape
+{
+    Rotation, //!< (angle) and one qubit
+    One,      //!< one qubit, no parameters
+    Two,      //!< two distinct qubits, no parameters
+};
+
+struct GateName
+{
+    std::string_view name;
+    GateType type;
+    GateShape shape;
+};
+
+constexpr GateName kGateNames[] = {
+    { "rz", GateType::Rz, GateShape::Rotation },
+    { "rx", GateType::Rx, GateShape::Rotation },
+    { "ry", GateType::Ry, GateShape::Rotation },
+    { "h", GateType::H, GateShape::One },
+    { "s", GateType::S, GateShape::One },
+    { "sdg", GateType::Sdg, GateShape::One },
+    { "x", GateType::X, GateShape::One },
+    { "y", GateType::Y, GateShape::One },
+    { "z", GateType::Z, GateShape::One },
+    { "sx", GateType::SX, GateShape::One },
+    { "sxdg", GateType::SXdg, GateShape::One },
+    { "cx", GateType::CX, GateShape::Two },
+    { "cz", GateType::CZ, GateShape::Two },
+    { "swap", GateType::Swap, GateShape::Two },
+};
+
+/** The supported gate called @p name, or nullptr. */
+const GateName *
+findGate(std::string_view name)
+{
+    for (const GateName &g : kGateNames)
+        if (g.name == name)
+            return &g;
+    return nullptr;
+}
+
+/** The program being read: the register and the gates so far. */
+struct ImportState
+{
+    QuantumCircuit qc;
+    std::string regName;
+    uint32_t regSize = 0;
+    bool haveHeader = false;
+};
+
+/**
+ * Apply one statement: @p stmt is trimmed, non-empty, free of comments
+ * and newlines.
+ */
+void
+importStatement(std::string_view stmt, ImportState &state)
+{
+    if (stmt.starts_with("OPENQASM")) {
+        state.haveHeader = true;
+        return;
+    }
+    if (stmt.starts_with("include") || stmt.starts_with("creg") ||
+        stmt.starts_with("barrier") || stmt.starts_with("measure"))
+        return;
+
+    if (stmt.starts_with("qreg")) {
+        if (state.regSize != 0)
+            fail("multiple qreg declarations are not supported");
+        const size_t open = stmt.find('[');
+        const size_t close = stmt.find(']');
+        if (open == std::string_view::npos ||
+            close == std::string_view::npos || close < open)
+            fail("malformed qreg declaration");
+        state.regName = trim(stmt.substr(4, open - 4));
+        const auto size = parseIndex(stmt.substr(open + 1, close - open - 1));
+        if (!size)
+            fail("qreg size must be an integer of at most " +
+                 std::to_string(kMaxQasmQubits) + " in " + quote(stmt));
+        if (*size == 0)
+            fail("qreg size must be positive");
+        state.regSize = static_cast<uint32_t>(*size);
+        state.qc = QuantumCircuit(state.regSize);
+        return;
+    }
+
+    // Gate statement: name[(params)] operands.
+    if (state.regSize == 0)
+        fail("gate before qreg declaration");
+    size_t name_end = 0;
+    while (name_end < stmt.size() && isAlnum(stmt[name_end]))
+        ++name_end;
+    const std::string_view name = stmt.substr(0, name_end);
+    std::string_view rest = trim(stmt.substr(name_end));
+
+    double angle = 0.0;
+    bool has_angle = false;
+    if (!rest.empty() && rest.front() == '(') {
+        const size_t close = matchingParen(rest);
+        if (close == std::string_view::npos)
+            fail("unterminated parameter list in " + quote(stmt));
+        angle = AngleParser(rest.substr(1, close - 1)).parse();
+        if (!std::isfinite(angle))
+            fail("non-finite angle in " + quote(stmt));
+        has_angle = true;
+        rest = trim(rest.substr(close + 1));
+    }
+
+    // Operands: comma-separated qubit refs, every one checked; an empty
+    // piece after a final ',' is no operand.
+    uint32_t qubits[2] = { 0, 0 };
+    size_t num_qubits = 0;
+    for (size_t start = 0; start < rest.size();) {
+        const size_t comma = std::min(rest.find(',', start), rest.size());
+        const uint32_t q = parseQubit(rest.substr(start, comma - start),
+                                      state.regName, state.regSize);
+        if (num_qubits < 2)
+            qubits[num_qubits] = q;
+        ++num_qubits;
+        start = comma + 1;
+    }
+
+    const GateName *gate = findGate(name);
+    if (gate == nullptr)
+        fail("unsupported gate " + quote(name));
+    switch (gate->shape) {
+      case GateShape::Rotation:
+        if (!has_angle || num_qubits != 1)
+            fail("rotation " + quote(name) + " needs (angle) and 1 qubit");
+        state.qc.append(Gate(gate->type, qubits[0], angle));
+        break;
+      case GateShape::One:
+        if (has_angle || num_qubits != 1)
+            fail("gate " + quote(name) + " takes exactly 1 qubit");
+        state.qc.append(Gate(gate->type, qubits[0]));
+        break;
+      case GateShape::Two:
+        if (has_angle || num_qubits != 2)
+            fail("gate " + quote(name) + " takes exactly 2 qubits");
+        if (qubits[0] == qubits[1])
+            fail("gate " + quote(name) + " repeats qubit operand in " +
+                 quote(stmt));
+        state.qc.append(Gate(gate->type, qubits[0], qubits[1]));
+        break;
+    }
+}
+
+/**
+ * @p text with its comments dropped and each newline read as a blank:
+ * how a statement that spans lines or carries a comment reads.
+ */
+std::string
+foldLines(std::string_view text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (size_t i = 0; i < text.size(); ++i) {
+        if (text.compare(i, 2, "//") == 0) {
+            const size_t eol = text.find('\n', i);
+            if (eol == std::string_view::npos)
+                break;
+            i = eol;
+        }
+        out += text[i] == '\n' ? ' ' : text[i];
+    }
+    return out;
+}
+
 } // namespace
 
 QuantumCircuit
 fromQasm(const std::string &source)
 {
-    // Split into ';'-terminated statements, removing // comments.
-    std::string cleaned;
-    cleaned.reserve(source.size());
-    std::istringstream lines(source);
-    std::string line;
-    while (std::getline(lines, line)) {
-        const size_t comment = line.find("//");
-        if (comment != std::string::npos)
-            line = line.substr(0, comment);
-        cleaned += line;
-        cleaned += ' ';
+    // One pass over the text: a statement runs to the next ';' outside
+    // a "//" comment (which ends at the newline), and newlines read as
+    // blanks. Each statement is the view from its first to its last
+    // character that is neither blank nor commented out; only one with
+    // a newline or comment inside that span is copied, to fold it.
+    const std::string_view text(source);
+    constexpr size_t npos = std::string_view::npos;
+    ImportState state;
+    for (size_t pos = 0; pos < text.size(); ++pos) {
+        size_t first = npos, last = 0;
+        bool broken = false; // newline or comment after the last content
+        bool folded = false; // ... followed by more content
+        for (; pos < text.size() && text[pos] != ';'; ++pos) {
+            const char c = text[pos];
+            if (c == '/' && text.compare(pos, 2, "//") == 0) {
+                const size_t eol = text.find('\n', pos);
+                pos = (eol == npos ? text.size() : eol) - 1;
+                broken = first != npos;
+                continue;
+            }
+            if (isSpace(c)) {
+                broken |= c == '\n' && first != npos;
+                continue;
+            }
+            if (first == npos)
+                first = pos;
+            folded |= broken;
+            broken = false;
+            last = pos + 1;
+        }
+        if (first == npos)
+            continue;
+        const std::string_view stmt = text.substr(first, last - first);
+        if (folded)
+            importStatement(foldLines(stmt), state);
+        else
+            importStatement(stmt, state);
     }
 
-    static const std::map<std::string, GateType> one_qubit = {
-        { "h", GateType::H },       { "s", GateType::S },
-        { "sdg", GateType::Sdg },   { "x", GateType::X },
-        { "y", GateType::Y },       { "z", GateType::Z },
-        { "sx", GateType::SX },     { "sxdg", GateType::SXdg },
-    };
-    static const std::map<std::string, GateType> rotations = {
-        { "rz", GateType::Rz },
-        { "rx", GateType::Rx },
-        { "ry", GateType::Ry },
-    };
-    static const std::map<std::string, GateType> two_qubit = {
-        { "cx", GateType::CX },
-        { "cz", GateType::CZ },
-        { "swap", GateType::Swap },
-    };
-
-    QuantumCircuit qc;
-    std::string reg_name;
-    uint32_t reg_size = 0;
-    bool have_header = false;
-
-    std::istringstream statements(cleaned);
-    std::string stmt;
-    while (std::getline(statements, stmt, ';')) {
-        stmt = trim(stmt);
-        if (stmt.empty())
-            continue;
-
-        if (stmt.rfind("OPENQASM", 0) == 0) {
-            have_header = true;
-            continue;
-        }
-        if (stmt.rfind("include", 0) == 0 || stmt.rfind("creg", 0) == 0 ||
-            stmt.rfind("barrier", 0) == 0 ||
-            stmt.rfind("measure", 0) == 0)
-            continue;
-
-        if (stmt.rfind("qreg", 0) == 0) {
-            if (reg_size != 0)
-                fail("multiple qreg declarations are not supported");
-            const size_t open = stmt.find('[');
-            const size_t close = stmt.find(']');
-            if (open == std::string::npos || close == std::string::npos ||
-                close < open)
-                fail("malformed qreg declaration");
-            reg_name = trim(stmt.substr(4, open - 4));
-            const auto size =
-                parseIndex(stmt.substr(open + 1, close - open - 1));
-            if (!size)
-                fail("qreg size must be an integer of at most " +
-                     std::to_string(kMaxQasmQubits) + " in " + quote(stmt));
-            if (*size == 0)
-                fail("qreg size must be positive");
-            reg_size = static_cast<uint32_t>(*size);
-            qc = QuantumCircuit(reg_size);
-            continue;
-        }
-
-        // Gate statement: name[(params)] operands.
-        if (reg_size == 0)
-            fail("gate before qreg declaration");
-        size_t name_end = 0;
-        while (name_end < stmt.size() &&
-               (std::isalnum(static_cast<unsigned char>(stmt[name_end]))))
-            ++name_end;
-        const std::string name = stmt.substr(0, name_end);
-        std::string rest = trim(stmt.substr(name_end));
-
-        double angle = 0.0;
-        bool has_angle = false;
-        if (!rest.empty() && rest.front() == '(') {
-            const size_t close = matchingParen(rest);
-            if (close == std::string::npos)
-                fail("unterminated parameter list in " + quote(stmt));
-            angle =
-                AngleParser(std::string_view(rest).substr(1, close - 1))
-                    .parse();
-            if (!std::isfinite(angle))
-                fail("non-finite angle in " + quote(stmt));
-            has_angle = true;
-            rest = trim(rest.substr(close + 1));
-        }
-
-        // Operands: comma-separated qubit refs.
-        std::vector<uint32_t> qubits;
-        std::istringstream ops(rest);
-        std::string op;
-        while (std::getline(ops, op, ','))
-            qubits.push_back(parseQubit(op, reg_name, reg_size));
-
-        if (auto it = rotations.find(name); it != rotations.end()) {
-            if (!has_angle || qubits.size() != 1)
-                fail("rotation " + quote(name) + " needs (angle) and 1 qubit");
-            qc.append(Gate(it->second, qubits[0], angle));
-        } else if (auto it1 = one_qubit.find(name);
-                   it1 != one_qubit.end()) {
-            if (has_angle || qubits.size() != 1)
-                fail("gate " + quote(name) + " takes exactly 1 qubit");
-            qc.append(Gate(it1->second, qubits[0]));
-        } else if (auto it2 = two_qubit.find(name);
-                   it2 != two_qubit.end()) {
-            if (has_angle || qubits.size() != 2)
-                fail("gate " + quote(name) + " takes exactly 2 qubits");
-            if (qubits[0] == qubits[1])
-                fail("gate " + quote(name) + " repeats qubit operand in " +
-                     quote(stmt));
-            qc.append(Gate(it2->second, qubits[0], qubits[1]));
-        } else {
-            fail("unsupported gate " + quote(name));
-        }
-    }
-
-    if (!have_header)
+    if (!state.haveHeader)
         fail("missing OPENQASM header");
-    if (reg_size == 0)
+    if (state.regSize == 0)
         fail("missing qreg declaration");
-    return qc;
+    return std::move(state.qc);
 }
 
 } // namespace quclear

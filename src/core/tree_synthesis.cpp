@@ -22,6 +22,54 @@ opWeight(bool x, bool z)
     return (x || z) ? 1 : 0;
 }
 
+/** Bit i of a multiword mask. */
+inline uint64_t
+maskBit(const uint64_t *mask, size_t i)
+{
+    return (mask[i >> 6] >> (i & 63)) & 1;
+}
+
+/*
+ * The searches score a schedule by the weights of the first `depth`
+ * lookahead Paulis. A CX inside the set leaves a Pauli's weight outside
+ * the set unchanged, so each one is projected onto the set: bit i of
+ * look d's x / z mask is its x / z bit at idxs[i]. A mask has `words`
+ * 64-bit words, and a projection buffer holds the x masks of all looks,
+ * then their z masks. Signs do not score.
+ */
+void
+projectLooks(const std::vector<PauliString> &looks, size_t depth,
+             const std::vector<uint32_t> &idxs, size_t words, uint64_t *xz)
+{
+    const size_t look_words = depth * words;
+    for (size_t d = 0; d < depth; ++d) {
+        const PauliString &p = looks[d];
+        for (size_t i = 0; i < idxs.size(); ++i) {
+            xz[d * words + (i >> 6)] |=
+                static_cast<uint64_t>(p.xBit(idxs[i])) << (i & 63);
+            xz[look_words + d * words + (i >> 6)] |=
+                static_cast<uint64_t>(p.zBit(idxs[i])) << (i & 63);
+        }
+    }
+}
+
+/**
+ * CX conjugation of a projection buffer on set positions a -> b:
+ * x_b ^= x_a, z_a ^= z_b. It is an involution, so applying it again
+ * undoes it.
+ */
+inline void
+projectedCx(uint64_t *xz, size_t depth, size_t words, size_t a, size_t b)
+{
+    const size_t look_words = depth * words;
+    for (size_t d = 0; d < depth; ++d) {
+        uint64_t *x = xz + d * words;
+        uint64_t *z = x + look_words;
+        x[b >> 6] ^= maskBit(x, a) << (b & 63);
+        z[a >> 6] ^= maskBit(z, b) << (a & 63);
+    }
+}
+
 } // namespace
 
 int
@@ -174,30 +222,21 @@ TreeSynthesizer::exhaustive(const std::vector<uint32_t> &idxs)
     if (depth == 0)
         return chain(idxs);
 
-    // A CX inside the set leaves a lookahead Pauli's weight outside the
-    // set unchanged, so each one is projected onto the set: bit i of
-    // x[d] / z[d] is its x / z bit at idxs[i], and its weight is that
-    // popcount plus the fixed weight outside. Signs do not score.
+    // Each lookahead Pauli is projected onto the set in one word (see
+    // projectLooks); its weight is the projection's popcount plus the
+    // fixed weight outside the set.
     const size_t k = idxs.size();
     assert(k <= kMaxExhaustiveSet);
-    std::array<uint64_t, kScoreDepth> x{}, z{};
+    std::array<uint64_t, 2 * kScoreDepth> xz{};
+    projectLooks(lookahead_, depth, idxs, 1, xz.data());
+    const auto weight = [&](size_t d) {
+        return static_cast<uint32_t>(std::popcount(xz[d] | xz[depth + d]));
+    };
     std::array<uint32_t, kScoreDepth> outside{};
-    for (size_t d = 0; d < depth; ++d) {
-        const PauliString &p = lookahead_[d];
-        for (size_t i = 0; i < k; ++i) {
-            x[d] |= static_cast<uint64_t>(p.xBit(idxs[i])) << i;
-            z[d] |= static_cast<uint64_t>(p.zBit(idxs[i])) << i;
-        }
-        outside[d] =
-            p.weight() - static_cast<uint32_t>(std::popcount(x[d] | z[d]));
-    }
-    // CX conjugation on set positions a -> b: x_b ^= x_a, z_a ^= z_b.
-    // It is an involution, so applying it again undoes it.
+    for (size_t d = 0; d < depth; ++d)
+        outside[d] = lookahead_[d].weight() - weight(d);
     const auto cx = [&](uint32_t a, uint32_t b) {
-        for (size_t d = 0; d < depth; ++d) {
-            x[d] ^= ((x[d] >> a) & 1) << b;
-            z[d] ^= ((z[d] >> b) & 1) << a;
-        }
+        projectedCx(xz.data(), depth, 1, a, b);
     };
 
     std::vector<Gate> best_seq;
@@ -217,8 +256,7 @@ TreeSynthesizer::exhaustive(const std::vector<uint32_t> &idxs)
         if (set.size() == 1) {
             std::array<uint32_t, kScoreDepth> score{};
             for (size_t d = 0; d < depth; ++d)
-                score[d] = outside[d] +
-                           static_cast<uint32_t>(std::popcount(x[d] | z[d]));
+                score[d] = outside[d] + weight(d);
             if (score < best_score) {
                 best_score = score;
                 best_seq = seq;
@@ -270,86 +308,166 @@ TreeSynthesizer::beam(const std::vector<uint32_t> &idxs)
     // the weights of the first few lookahead Paulis (deep lookahead is
     // what makes the grouped recursion strong; the beam needs it too).
     constexpr uint32_t kScoreDepth = 8;
-    std::vector<PauliString> looks;
-    for (uint32_t d = 0; d < kScoreDepth; ++d) {
-        PauliString p;
-        if (!lookaheadAt(d, p))
-            break;
-        looks.push_back(std::move(p));
-    }
-    if (looks.empty())
+    const size_t depth = std::min<size_t>(
+        { kScoreDepth, config_.maxLookahead, lookahead_.size() });
+    if (depth == 0)
         return chain(idxs);
-    const size_t depth = looks.size();
+    using Score = std::array<uint32_t, kScoreDepth>;
 
-    struct State
+    // States live in place, as in exhaustive(): a state is its remaining
+    // set of positions, its projections (see projectLooks, here in
+    // `words` words so any set size fits) and its score. Two states are
+    // the same when their sets and first lookahead Paulis match. Signs
+    // need no tracking for that: CXs map i^{#Y} X^x Z^z to X^x' Z^z'
+    // with no sign, so the sign follows from the letters.
+    const size_t k = idxs.size();
+    const size_t words = (k + 63) / 64;
+    const size_t look_words = depth * words;
+    struct Level
     {
-        std::vector<uint32_t> set;
-        std::vector<PauliString> looks;
-        std::vector<Gate> seq;
-        std::array<uint32_t, kScoreDepth> score{};
+        std::vector<uint64_t> set; // `words` per state
+        std::vector<uint64_t> xz;  // a projection buffer per state
+        std::vector<Score> score;
     };
 
-    auto rescore = [&](State &state) {
-        for (size_t d = 0; d < depth; ++d)
-            state.score[d] = state.looks[d].weight();
-    };
+    Level frontier, next;
+    frontier.set.assign(words, 0);
+    frontier.xz.assign(2 * look_words, 0);
+    for (size_t i = 0; i < k; ++i)
+        frontier.set[i >> 6] |= 1ULL << (i & 63);
+    projectLooks(lookahead_, depth, idxs, words, frontier.xz.data());
+    Score root_score{};
+    for (size_t d = 0; d < depth; ++d)
+        root_score[d] = lookahead_[d].weight();
+    frontier.score.push_back(root_score);
 
-    std::vector<State> frontier(1);
-    frontier[0].set = idxs;
-    frontier[0].looks = looks;
-    rescore(frontier[0]);
+    // A child is a compact record, scored from its parent without being
+    // built: the CX changes a Pauli's weight only at its two positions.
+    // Only the survivors are materialized, and each level keeps
+    // (parent, c, t) so the winning sequence is rebuilt at the end.
+    //
+    // std::sort is not stable: children with equal scores end up in
+    // whatever order its comparisons leave them. So children are listed
+    // state by state, control by control, target by target, and sorted
+    // by their score arrays alone; the same comparisons on the same
+    // listing give the same order.
+    struct Step
+    {
+        uint32_t parent, c, t;
+    };
+    struct Child
+    {
+        Score score;
+        Step step;
+    };
+    std::vector<Child> children;
+    std::vector<Step> steps;
+    std::vector<size_t> level_start;
+    std::vector<uint32_t> positions;
+    static_assert(kScoreDepth <= 8, "ox / oz hold one bit per look");
+    std::vector<uint8_t> ox(k), oz(k); // bit d: look d's x / z bit
+    std::vector<uint64_t> probe(3 * words); // a child's dedup key
 
     const size_t width = config_.beamWidth;
-    while (frontier[0].set.size() > 1) {
-        std::vector<State> next;
-        next.reserve(frontier.size() * idxs.size() * idxs.size());
-        for (const State &state : frontier) {
-            for (size_t ci = 0; ci < state.set.size(); ++ci) {
-                for (size_t ti = 0; ti < state.set.size(); ++ti) {
-                    if (ci == ti)
+    for (size_t remaining = k; remaining > 1; --remaining) {
+        children.clear();
+        for (size_t s = 0; s < frontier.score.size(); ++s) {
+            const uint64_t *set = &frontier.set[s * words];
+            const uint64_t *xz = &frontier.xz[s * 2 * look_words];
+            positions.clear();
+            for (size_t w = 0; w < words; ++w)
+                for (uint64_t b = set[w]; b; b &= b - 1)
+                    positions.push_back(static_cast<uint32_t>(
+                        64 * w + static_cast<size_t>(std::countr_zero(b))));
+            for (const uint32_t i : positions) {
+                uint8_t xs = 0, zs = 0;
+                for (size_t d = 0; d < depth; ++d) {
+                    xs |= static_cast<uint8_t>(maskBit(xz + d * words, i)
+                                               << d);
+                    zs |= static_cast<uint8_t>(
+                        maskBit(xz + look_words + d * words, i) << d);
+                }
+                ox[i] = xs;
+                oz[i] = zs;
+            }
+            const Score &base = frontier.score[s];
+            for (const uint32_t a : positions) {
+                for (const uint32_t b : positions) {
+                    if (a == b)
                         continue;
-                    State child = state;
-                    const uint32_t c = child.set[ci];
-                    const uint32_t t = child.set[ti];
-                    for (auto &look : child.looks)
-                        look.applyCX(c, t);
-                    child.set.erase(child.set.begin() +
-                                    static_cast<std::ptrdiff_t>(ci));
-                    child.seq.emplace_back(GateType::CX, c, t);
-                    rescore(child);
-                    next.push_back(std::move(child));
+                    // Weight bits per look, before and after the CX.
+                    const uint32_t before_a = ox[a] | oz[a];
+                    const uint32_t before_b = ox[b] | oz[b];
+                    const uint32_t after_a = ox[a] | (oz[a] ^ oz[b]);
+                    const uint32_t after_b = (ox[b] ^ ox[a]) | oz[b];
+                    Child child{ base, { static_cast<uint32_t>(s), a, b } };
+                    for (size_t d = 0; d < depth; ++d)
+                        child.score[d] = child.score[d] +
+                                         ((after_a >> d) & 1) +
+                                         ((after_b >> d) & 1) -
+                                         ((before_a >> d) & 1) -
+                                         ((before_b >> d) & 1);
+                    children.push_back(child);
                 }
             }
         }
         // Keep the best `width` states; dedup identical (set, first
         // lookahead) pairs so the beam stays diverse.
-        std::sort(next.begin(), next.end(),
-                  [](const State &a, const State &b) {
+        std::sort(children.begin(), children.end(),
+                  [](const Child &a, const Child &b) {
                       return a.score < b.score;
                   });
-        std::vector<State> pruned;
-        pruned.reserve(width);
-        for (State &state : next) {
+        next.set.clear();
+        next.xz.clear();
+        next.score.clear();
+        level_start.push_back(steps.size());
+        for (const Child &child : children) {
+            const size_t parent = child.step.parent;
+            const size_t c = child.step.c, t = child.step.t;
+            const uint64_t *pxz = &frontier.xz[parent * 2 * look_words];
+            // The child's key: its set and its first Pauli's letters.
+            uint64_t *kset = probe.data(), *kx = kset + words, *kz = kx + words;
+            std::copy_n(&frontier.set[parent * words], words, kset);
+            std::copy_n(pxz, words, kx);
+            std::copy_n(pxz + look_words, words, kz);
+            kset[c >> 6] &= ~(1ULL << (c & 63));
+            projectedCx(kx, 1, words, c, t); // kz follows kx
             bool dup = false;
-            for (const State &kept : pruned) {
-                if (kept.set == state.set &&
-                    kept.looks[0] == state.looks[0]) {
-                    dup = true;
-                    break;
-                }
+            for (size_t j = 0; j < next.score.size() && !dup; ++j) {
+                const uint64_t *jxz = &next.xz[j * 2 * look_words];
+                dup = std::equal(kset, kset + words, &next.set[j * words]) &&
+                      std::equal(kx, kx + words, jxz) &&
+                      std::equal(kz, kz + words, jxz + look_words);
             }
-            if (!dup)
-                pruned.push_back(std::move(state));
-            if (pruned.size() >= width)
+            if (!dup) {
+                next.set.insert(next.set.end(), kset, kset + words);
+                next.xz.insert(next.xz.end(), pxz, pxz + 2 * look_words);
+                projectedCx(&next.xz[next.xz.size() - 2 * look_words],
+                            depth, words, c, t);
+                next.score.push_back(child.score);
+                steps.push_back(child.step);
+            }
+            if (next.score.size() >= width)
                 break;
         }
-        frontier = std::move(pruned);
+        std::swap(frontier, next);
     }
 
-    const State &best = frontier.front();
-    for (const Gate &g : best.seq)
-        emitCx(g.q0, g.q1);
-    return best.set.front();
+    // Walk the winner's parents back to the root, then emit in order.
+    std::vector<Step> seq(level_start.size());
+    uint32_t state = 0;
+    for (size_t level = level_start.size(); level-- > 0;) {
+        seq[level] = steps[level_start[level] + state];
+        state = seq[level].parent;
+    }
+    for (const Step &step : seq)
+        emitCx(idxs[step.c], idxs[step.t]);
+    for (size_t w = 0; w < words; ++w)
+        if (frontier.set[w] != 0)
+            return idxs[64 * w +
+                        static_cast<size_t>(std::countr_zero(frontier.set[w]))];
+    assert(false && "no root survived the merge sequence");
+    return idxs.back();
 }
 
 uint32_t

@@ -584,36 +584,6 @@ CliffordTableau::conjugateBatch(std::span<PauliString> terms) const
 }
 
 void
-CliffordTableau::prependGate(const Gate &g)
-{
-    // T'(P) = T(g P g~): only generators touching g's qubits change.
-    // The conjugated generators are low weight, so the sparse conjugate
-    // path evaluates them; rows are rewritten afterwards.
-    uint32_t qubits[2] = { g.q0, 0 };
-    uint32_t num_qubits = 1;
-    if (isTwoQubit(g.type))
-        qubits[num_qubits++] = g.q1;
-
-    uint32_t rows[4];
-    PauliString new_rows[4];
-    uint32_t count = 0;
-    QuantumCircuit one(numQubits_);
-    one.append(g);
-    for (uint32_t i = 0; i < num_qubits; ++i) {
-        for (const bool is_z : { false, true }) {
-            PauliString generator(numQubits_);
-            generator.setOp(qubits[i], is_z ? PauliOp::Z : PauliOp::X);
-            one.conjugatePauli(generator);
-            new_rows[count] = conjugate(generator);
-            rows[count] = 2 * qubits[i] + (is_z ? 1u : 0u);
-            ++count;
-        }
-    }
-    for (uint32_t i = 0; i < count; ++i)
-        setRow(rows[i], new_rows[i]);
-}
-
-void
 CliffordTableau::composeWith(const CliffordTableau &other)
 {
     assert(other.numQubits_ == numQubits_);

@@ -24,8 +24,8 @@
  *     the 1-2 affected columns plus the sign words — versus O(n) row
  *     walks over 2n heap objects in the row-major layout.
  *   - conjugate (sparse path, k rows):     O(k . n) bit gathers; used
- *     when few generator rows are selected (low-weight inputs, e.g. the
- *     per-gate prepends of circuit_to_paulis).
+ *     when few generator rows are selected (low-weight inputs, e.g. a
+ *     lone observable).
  *   - conjugate (dense path):              O(n . W) word ops with a
  *     closed-form phase accumulation (no per-row multiplications).
  *   - conjugateBatch (>= 3 terms):         one 64x64 bit-block
@@ -36,7 +36,7 @@
  *     absorption, and compose all batch, amortizing the transpose to
  *     near-zero per term; a lone dense conjugate keeps the column pass
  *     because the transpose's fixed cost cannot amortize over one term.
- *   - prepend / compose / toCircuit:       same shape as the reference,
+ *   - compose / toCircuit:                 same shape as the reference,
  *     built on the primitives above.
  *
  * Rows of a unitary tableau are Hermitian Paulis, so one sign bit per
@@ -88,15 +88,6 @@ class CliffordTableau
     void appendGate(const Gate &g);
     void appendCircuit(const QuantumCircuit &qc);
     /** @} */
-
-    /**
-     * Prepend a gate: U <- U . g (g acts before the existing circuit).
-     * The new images of the generators on g's qubits are products of
-     * the old rows, evaluated through the sparse conjugation path —
-     * used to maintain *inverse* tableaux incrementally when a circuit
-     * is consumed front to back (see circuit_to_paulis).
-     */
-    void prependGate(const Gate &g);
 
     /**
      * Conjugate a Pauli string: returns U P U~ with exact phase,

@@ -56,7 +56,11 @@ class ReferenceTableau
     void appendCircuit(const QuantumCircuit &qc);
     /** @} */
 
-    /** Prepend a gate: U <- U . g (see CliffordTableau::prependGate). */
+    /**
+     * Prepend a gate: U <- U . g, rebuilding each affected row through
+     * a full conjugate (the seed circuitToPauliProgram's step; see
+     * reference_frontend.hpp).
+     */
     void prependGate(const Gate &g);
 
     /** Conjugate a Pauli string: returns U P U~ with exact phase. */

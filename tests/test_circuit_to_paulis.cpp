@@ -6,9 +6,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
+#include "baselines/naive_synthesis.hpp"
+#include "benchgen/suite.hpp"
 #include "core/circuit_to_paulis.hpp"
 #include "core/measurement_grouping.hpp"
 #include "core/quclear.hpp"
+#include "reference_frontend.hpp"
 #include "sim/expectation.hpp"
 #include "util/rng.hpp"
 
@@ -97,6 +103,79 @@ TEST(CircuitToPaulisTest, RandomCircuitsRoundTripExactly)
             runPauliProgram(program, n)))
             << "trial " << trial;
     }
+}
+
+/**
+ * Every gate type of the IR on random qubits: the eight single-qubit
+ * Cliffords, Rz/Rx/Ry, and (for n > 1) CX, CZ and Swap.
+ */
+QuantumCircuit
+randomAllGateCircuit(uint32_t n, size_t gates, Rng &rng)
+{
+    QuantumCircuit qc(n);
+    while (qc.size() < gates) {
+        const uint32_t q = static_cast<uint32_t>(rng.uniformInt(n));
+        uint32_t r = q;
+        while (n > 1 && r == q)
+            r = static_cast<uint32_t>(rng.uniformInt(n));
+        const double theta = rng.uniformReal(-3, 3);
+        switch (rng.uniformInt(n > 1 ? 14 : 11)) {
+          case 0: qc.append(Gate(GateType::H, q)); break;
+          case 1: qc.append(Gate(GateType::S, q)); break;
+          case 2: qc.append(Gate(GateType::Sdg, q)); break;
+          case 3: qc.append(Gate(GateType::X, q)); break;
+          case 4: qc.append(Gate(GateType::Y, q)); break;
+          case 5: qc.append(Gate(GateType::Z, q)); break;
+          case 6: qc.append(Gate(GateType::SX, q)); break;
+          case 7: qc.append(Gate(GateType::SXdg, q)); break;
+          case 8: qc.append(Gate(GateType::Rz, q, theta)); break;
+          case 9: qc.append(Gate(GateType::Rx, q, theta)); break;
+          case 10: qc.append(Gate(GateType::Ry, q, theta)); break;
+          case 11: qc.append(Gate(GateType::CX, q, r)); break;
+          case 12: qc.append(Gate(GateType::CZ, q, r)); break;
+          default: qc.append(Gate(GateType::Swap, q, r)); break;
+        }
+    }
+    return qc;
+}
+
+/** circuitToPauliProgram and the seed rewrite agree bit for bit. */
+void
+expectMatchesReference(const QuantumCircuit &qc, const std::string &what)
+{
+    const PauliProgram got = circuitToPauliProgram(qc);
+    const PauliProgram want = referenceCircuitToPauliProgram(qc);
+    EXPECT_EQ(got.clifford.numQubits(), want.clifford.numQubits()) << what;
+    EXPECT_TRUE(got.clifford.gates() == want.clifford.gates()) << what;
+    ASSERT_EQ(got.terms.size(), want.terms.size()) << what;
+    for (size_t i = 0; i < got.terms.size(); ++i) {
+        ASSERT_EQ(got.terms[i].pauli, want.terms[i].pauli)
+            << what << ", term " << i;
+        ASSERT_EQ(std::bit_cast<uint64_t>(got.terms[i].angle),
+                  std::bit_cast<uint64_t>(want.terms[i].angle))
+            << what << ", term " << i;
+    }
+}
+
+TEST(CircuitToPaulisTest, MatchesReferenceOnEveryGateType)
+{
+    // Word edges of the row layout, plus the tableau suite's widths.
+    for (const uint32_t n : { 1u, 4u, 63u, 64u, 65u, 128u, 130u, 256u }) {
+        Rng rng(5100 + n);
+        for (int trial = 0; trial < 3; ++trial)
+            expectMatchesReference(
+                randomAllGateCircuit(n, 6 * n + 40, rng),
+                "n=" + std::to_string(n) + " trial " +
+                    std::to_string(trial));
+    }
+}
+
+TEST(CircuitToPaulisTest, MatchesReferenceOnBenchgenCircuits)
+{
+    // The circuits a served job sends: each family's naive synthesis.
+    for (const std::string &name : smokeBenchmarkNames())
+        expectMatchesReference(naiveSynthesis(makeBenchmark(name).terms),
+                               name);
 }
 
 TEST(CircuitToPaulisTest, CompileCircuitEndToEnd)

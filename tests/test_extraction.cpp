@@ -222,25 +222,6 @@ TEST(ExtractionTest, EntanglingDepthNotLargerThanNaive)
 }
 
 
-/** Production and seed extractor must agree bit for bit. */
-void
-expectMatchesReference(const std::vector<PauliTerm> &terms,
-                       const ExtractionConfig &config, const std::string &what)
-{
-    const ExtractionResult got = CliffordExtractor(config).run(terms);
-    const ExtractionResult want = referenceCliffordExtract(terms, config);
-    EXPECT_EQ(got.optimized.numQubits(), want.optimized.numQubits()) << what;
-    EXPECT_TRUE(got.optimized.gates() == want.optimized.gates())
-        << what << ": U' differs (" << got.optimized.size() << " vs "
-        << want.optimized.size() << " gates)";
-    EXPECT_TRUE(got.extractedClifford.gates() ==
-                want.extractedClifford.gates())
-        << what << ": tail differs";
-    EXPECT_TRUE(got.conjugator == want.conjugator)
-        << what << ": conjugator differs";
-    EXPECT_EQ(got.rotationTerms, want.rotationTerms) << what;
-}
-
 /**
  * @p k mutually commuting mixed X/Y/Z terms on @p n qubits: random
  * Z-strings (identity allowed), each pushed through one shared random
@@ -368,6 +349,63 @@ TEST(ExtractorReferenceTest, ConfigVariantsMatch)
         expectMatchesReference(blocks, config, "word-edge blocks, " + name);
         expectMatchesReference(sparse, config, "sparse n=65, " + name);
     }
+}
+
+TEST(ExtractorReferenceTest, PortfolioBeamConfigsMatch)
+{
+    Rng rng(4133);
+    const auto blocks = wordEdgeBlocks(10, 60, rng);
+    for (const bool use_blocks : { true, false }) {
+        const ExtractionConfig config = beamConfig(8, use_blocks);
+        const std::string name = use_blocks ? "beam8" : "beam8-noblocks";
+        expectMatchesReference(blocks, config, "word-edge blocks, " + name);
+        expectMatchesReference(uccsdAnsatz(4, 8, 11), config,
+                               "UCC-(4,8), " + name);
+        expectMatchesReference(labsQaoa(15, 0.41, 0.93), config,
+                               "LABS-(n15), " + name);
+    }
+}
+
+TEST(ExtractorReferenceTest, BeamWidthsOnTiedLabsScoresMatch)
+{
+    // LABS terms have weight 2 and 4 over few distinct supports, so
+    // many beam children tie on every score entry: ties are broken by
+    // std::sort's comparisons alone.
+    for (const uint32_t width : { 1u, 16u })
+        for (const uint32_t n : { 15u, 20u })
+            expectMatchesReference(labsQaoa(n, 0.41, 0.93),
+                                   beamConfig(width, true),
+                                   "LABS-(n" + std::to_string(n) +
+                                       "), beamWidth=" +
+                                       std::to_string(width));
+}
+
+TEST(ExtractorReferenceTest, BeamOverWideSupportsAndRegistersMatches)
+{
+    // A first term on 65-70 of 72 qubits, then eight to look ahead to:
+    // the beam's projected lookahead masks take two words. (Later terms
+    // leave its tree narrower, so each width gets its own program.)
+    Rng rng(4139);
+    const uint32_t n = 72;
+    ExtractionConfig config;
+    config.tree.beamWidth = 2;
+    for (const uint32_t weight : { 65u, 70u }) {
+        std::vector<uint32_t> qubits(n);
+        for (uint32_t q = 0; q < n; ++q)
+            qubits[q] = q;
+        rng.shuffle(qubits);
+        PauliString wide(n);
+        for (uint32_t i = 0; i < weight; ++i)
+            wide.setOp(qubits[i], static_cast<PauliOp>(1 + rng.uniformInt(3)));
+        std::vector<PauliTerm> terms = randomSupportTerms(n, 9, 0.5, rng);
+        terms.front() = PauliTerm(std::move(wide), 0.3);
+        expectMatchesReference(terms, config,
+                               "support " + std::to_string(weight) +
+                                   ", beamWidth=2");
+    }
+    // A wide register with dense terms: scores past 255 at every depth.
+    expectMatchesReference(randomSupportTerms(300, 24, 0.97, rng), config,
+                           "n=300, beamWidth=2");
 }
 
 } // namespace

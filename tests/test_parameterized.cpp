@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for parameterized compilation (compile once, bind per
- * iteration) and the tableau compose/inverse/prepend algebra that backs
- * the gate-level front end.
+ * iteration) and the tableau compose/inverse algebra.
  */
 #include <gtest/gtest.h>
 
@@ -179,36 +178,6 @@ TEST(TableauAlgebraTest, InverseComposesToIdentity)
     CliffordTableau composed = t;
     composed.composeWith(t.inverse());
     EXPECT_TRUE(composed.isIdentity());
-}
-
-TEST(TableauAlgebraTest, PrependMatchesRebuild)
-{
-    Rng rng(2027);
-    const uint32_t n = 4;
-    QuantumCircuit suffix(n);
-    suffix.h(0);
-    suffix.cx(0, 2);
-    suffix.s(3);
-    CliffordTableau t = CliffordTableau::fromCircuit(suffix);
-
-    // Prepend gates one by one and compare against full rebuilds.
-    QuantumCircuit prefix(n);
-    const Gate gates[] = { Gate(GateType::H, 1),
-                           Gate(GateType::CX, 2u, 3u),
-                           Gate(GateType::Sdg, 0),
-                           Gate(GateType::CZ, 1u, 2u) };
-    for (const Gate &g : gates) {
-        t.prependGate(g);
-        // prefix grows at the FRONT.
-        QuantumCircuit next(n);
-        next.append(g);
-        next.appendCircuit(prefix);
-        prefix = next;
-
-        QuantumCircuit full = prefix;
-        full.appendCircuit(suffix);
-        EXPECT_EQ(t, CliffordTableau::fromCircuit(full));
-    }
 }
 
 } // namespace

@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "circuit/quantum_circuit.hpp"
+#include "core/clifford_extractor.hpp"
 #include "pauli/pauli_string.hpp"
 #include "pauli/pauli_term.hpp"
+#include "reference_extractor.hpp"
 #include "util/rng.hpp"
 
 namespace quclear {
@@ -126,6 +129,44 @@ expectSameCircuit(const QuantumCircuit &a, const QuantumCircuit &b)
         ASSERT_EQ(a.gate(i).q1, b.gate(i).q1) << "gate " << i;
         ASSERT_DOUBLE_EQ(a.gate(i).angle, b.gate(i).angle) << "gate " << i;
     }
+}
+
+/**
+ * The production extractor and the seed one (referenceCliffordExtract)
+ * compile @p terms identically: same U', tail, conjugator and rotation
+ * count.
+ */
+inline void
+expectMatchesReference(const std::vector<PauliTerm> &terms,
+                       const ExtractionConfig &config, const std::string &what)
+{
+    const ExtractionResult got = CliffordExtractor(config).run(terms);
+    const ExtractionResult want = referenceCliffordExtract(terms, config);
+    EXPECT_EQ(got.optimized.numQubits(), want.optimized.numQubits()) << what;
+    EXPECT_TRUE(got.optimized.gates() == want.optimized.gates())
+        << what << ": U' differs (" << got.optimized.size() << " vs "
+        << want.optimized.size() << " gates)";
+    EXPECT_TRUE(got.extractedClifford.gates() ==
+                want.extractedClifford.gates())
+        << what << ": tail differs";
+    EXPECT_TRUE(got.conjugator == want.conjugator)
+        << what << ": conjugator differs";
+    EXPECT_EQ(got.rotationTerms, want.rotationTerms) << what;
+}
+
+/**
+ * The synthesis portfolio's beam candidates: exhaustive search off,
+ * beam of @p width, commuting blocks on or off (kPortfolio's "beam8"
+ * and "beam8-noblocks" at width 8).
+ */
+inline ExtractionConfig
+beamConfig(uint32_t width, bool use_commuting_blocks)
+{
+    ExtractionConfig config;
+    config.tree.exhaustiveThreshold = 0;
+    config.tree.beamWidth = width;
+    config.useCommutingBlocks = use_commuting_blocks;
+    return config;
 }
 
 } // namespace quclear
