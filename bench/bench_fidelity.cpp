@@ -12,8 +12,9 @@
  * stage Monte-Carlo-samples the extracted Clifford tail of the largest
  * selected instance with the batched fault sampler and records the
  * measured shot throughput (single-thread vs multi-thread) in
- * summary.mc_sampler.
+ * summary.mc_sampler, next to the exact expectation as a cross-check.
  */
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -25,6 +26,7 @@
 #include "bench_common.hpp"
 #include "core/quclear.hpp"
 #include "sim/noise_model.hpp"
+#include "tableau/clifford_tableau.hpp"
 #include "util/simd_dispatch.hpp"
 #include "util/table_printer.hpp"
 #include "util/timer.hpp"
@@ -34,10 +36,12 @@ namespace {
 
 /**
  * Monte-Carlo shot-throughput stage: compile @p target, then sample
- * noisy expectations of an all-Z observable on its extracted Clifford
+ * noisy expectations of a stabilizer observable on its extracted Clifford
  * tail with the batched sampler, once single-threaded and once with
  * the environment's thread count. Records shots/sec for both plus the
  * sampler configuration, and checks the two runs agree bit-for-bit.
+ * As a cross-check, records the exact expectation and how many
+ * standard errors the Monte-Carlo estimate lies from it.
  */
 void
 runMcSamplerStage(quclear::bench::BenchReport &report,
@@ -52,9 +56,13 @@ runMcSamplerStage(quclear::bench::BenchReport &report,
     const CompiledProgram program = compiler.compile(b.terms);
     const QuantumCircuit &tail = program.extraction.extractedClifford;
 
-    PauliString observable(tail.numQubits());
-    for (uint32_t q = 0; q < tail.numQubits(); ++q)
-        observable.setOp(q, PauliOp::Z);
+    // The tail's image of Z...Z, a stabilizer of its output state: the
+    // ideal expectation is +1, so the noise damping (and any mismatch
+    // between the sampler and the exact value) shows.
+    const CliffordTableau tableau = CliffordTableau::fromCircuit(tail);
+    PauliString observable = tableau.imageZ(0);
+    for (uint32_t q = 1; q < tail.numQubits(); ++q)
+        observable.mulRight(tableau.imageZ(q));
 
     NoiseModel::SamplerOptions options;
     options.seed = 2026;
@@ -82,6 +90,13 @@ runMcSamplerStage(quclear::bench::BenchReport &report,
             : 0.0;
     const bool identical = scalar.expectation == batched.expectation &&
                            scalar.errorEvents == batched.errorEvents;
+    const double exact = noise.exactStabilizerExpectation(tail, observable);
+    const double standard_error =
+        std::sqrt((1.0 - exact * exact) / static_cast<double>(shots));
+    const double error_sigmas =
+        standard_error > 0.0
+            ? std::abs(batched.expectation - exact) / standard_error
+            : 0.0;
 
     JsonValue &mc = report.summary()["mc_sampler"];
     mc["benchmark"] = target;
@@ -100,6 +115,8 @@ runMcSamplerStage(quclear::bench::BenchReport &report,
             ? scalar_seconds / batched_seconds
             : 0.0;
     mc["bit_identical"] = identical;
+    mc["exact_expectation"] = exact;
+    mc["mc_error_sigmas"] = error_sigmas;
 
     std::printf("MC sampler on %s tail (%zu gates, %zu shots): "
                 "%.0f shots/s @1t, %.0f shots/s @%ut (%s, x%.2f, %s)\n",
@@ -110,6 +127,9 @@ runMcSamplerStage(quclear::bench::BenchReport &report,
                     ? scalar_seconds / batched_seconds
                     : 0.0,
                 identical ? "bit-identical" : "MISMATCH");
+    std::printf("cross-check: MC %.6f vs exact %.6f, |MC - exact| = "
+                "%.2f standard errors\n",
+                batched.expectation, exact, error_sigmas);
 }
 
 } // namespace

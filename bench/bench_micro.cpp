@@ -26,12 +26,13 @@
  * counterpart. CI records them
  * as JSON via
  *   bench_micro \
- *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|ReferenceExtractor|Absorb|NoiseMc|SimdPauli|DepthScheduling|Sabre|Level3|Qasm|CircuitToPauli|TreeBeam' \
+ *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|ReferenceExtractor|Absorb|NoiseMc|NoiseExact|SimdPauli|DepthScheduling|Sabre|Level3|Qasm|CircuitToPauli|TreeBeam' \
  *     --benchmark_out=BENCH_tableau.json --benchmark_out_format=json
  */
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <utility>
 
 #include "baselines/naive_synthesis.hpp"
 #include "benchgen/labs.hpp"
@@ -730,26 +731,35 @@ BM_StatevectorGate(benchmark::State &state)
 BENCHMARK(BM_StatevectorGate)->Arg(10)->Arg(14);
 
 /**
- * @name Noise Monte-Carlo.
+ * @name Noisy expectations.
  *
- * The batched depolarizing fault sampler's shot throughput: /1 is the
+ * The batched depolarizing fault sampler's shot throughput (/1 is the
  * sequential baseline, /0 fans shot blocks over hardware concurrency
- * with bit-identical output.
+ * with bit-identical output) and the closed form it converges to, on
+ * the same 512-gate Clifford circuit and all-Z observable.
  * @{
  */
 
-/** Batched noisy-expectation sampler; arg = SamplerOptions::threads. */
-void
-BM_NoiseMc(benchmark::State &state)
+/** A 24-qubit, 512-gate random Clifford circuit and the all-Z
+ *  observable the noise benchmarks measure on it. */
+std::pair<QuantumCircuit, PauliString>
+noiseBenchInput()
 {
     const uint32_t n = 24;
-    Rng rng(24);
     QuantumCircuit qc(n);
     for (const Gate &g : randomGateStream(n, 512, 25))
         qc.append(g);
     PauliString obs(n);
     for (uint32_t q = 0; q < n; ++q)
         obs.setOp(q, PauliOp::Z);
+    return { std::move(qc), std::move(obs) };
+}
+
+/** Batched noisy-expectation sampler; arg = SamplerOptions::threads. */
+void
+BM_NoiseMc(benchmark::State &state)
+{
+    const auto [qc, obs] = noiseBenchInput();
     NoiseModel noise;
     noise.singleQubitError = 3e-4;
     noise.twoQubitError = 5e-3;
@@ -767,6 +777,21 @@ BENCHMARK(BM_NoiseMc)
     ->Arg(1)
     ->Arg(0)
     ->UseRealTime();
+
+/** Exact noisy expectation: one pull-back, no shots; items = gates. */
+void
+BM_NoiseExact(benchmark::State &state)
+{
+    const auto [qc, obs] = noiseBenchInput();
+    NoiseModel noise;
+    noise.singleQubitError = 3e-4;
+    noise.twoQubitError = 5e-3;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(noise.exactStabilizerExpectation(qc, obs));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(qc.size()));
+}
+BENCHMARK(BM_NoiseExact);
 
 /** @} */
 

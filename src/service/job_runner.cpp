@@ -13,7 +13,6 @@
 #include "circuit/qasm_import.hpp"
 #include "core/quclear.hpp"
 #include "sim/noise_model.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 #include "util/worker_pool.hpp"
 
@@ -96,11 +95,9 @@ writeStats(JsonValue &group, const CircuitStats &stats, size_t gates)
 }
 
 void
-writeNoiseGroup(JsonValue &results, const JobRequest &request,
-                const QuantumCircuit *input,
-                const CompiledProgram &program, uint32_t scheduler_workers)
+writeNoiseGroup(JsonValue &results, const JobNoiseSpec &spec,
+                const QuantumCircuit *input, const CompiledProgram &program)
 {
-    const JobNoiseSpec &spec = request.noise;
     NoiseModel model;
     model.singleQubitError = spec.singleQubitError;
     model.twoQubitError = spec.twoQubitError;
@@ -129,23 +126,18 @@ writeNoiseGroup(JsonValue &results, const JobRequest &request,
                            std::to_string(observable.numQubits()) +
                            " qubits but the program is on " +
                            std::to_string(program.circuit().numQubits()));
-    // Monte-Carlo fault injection on the extracted Clifford tail: the
-    // tail is Clifford by construction, so every trajectory stays a
-    // stabilizer state. The resulting degradation is exactly what
-    // executing the tail on hardware would cost — the quantity
-    // Clifford Absorption saves (docs/SERVICE.md).
-    NoiseModel::SamplerOptions sampler;
-    sampler.seed = spec.seed;
-    sampler.threads = clampJobThreads(request.threads, scheduler_workers);
-    const auto mc = model.noisyStabilizerExpectation(
-        program.extraction.extractedClifford, observable,
-        static_cast<size_t>(spec.shots), sampler);
+    // Exact noisy expectation on the extracted Clifford tail: the tail
+    // is Clifford by construction, so the depolarizing damping has a
+    // closed form. The degradation is exactly what executing the tail
+    // on hardware would cost — the quantity Clifford Absorption saves
+    // (docs/SERVICE.md).
+    const QuantumCircuit &tail = program.extraction.extractedClifford;
     noise["observable"] = spec.observable;
     noise["shots"] = spec.shots;
     noise["seed"] = spec.seed;
-    noise["tail_expectation"] = mc.expectation;
-    noise["error_events"] = mc.errorEvents;
-    noise["fault_sites"] = mc.faultSites;
+    noise["tail_expectation"] =
+        model.exactStabilizerExpectation(tail, observable);
+    noise["fault_sites"] = static_cast<size_t>(spec.shots) * tail.size();
 }
 
 std::string
@@ -195,8 +187,7 @@ runJobLineOrThrow(const JobRequest &request, uint64_t seq,
     if (request.noise.enabled) {
         const QuantumCircuit *input =
             request.source == JobSource::Benchmark ? nullptr : &circuit;
-        writeNoiseGroup(results, request, input, program,
-                        scheduler_workers);
+        writeNoiseGroup(results, request.noise, input, program);
     }
     return compactResultLine(doc);
 }

@@ -85,16 +85,17 @@ struct JobNoiseSpec
     double twoQubitError = 5e-3;
 
     /**
-     * Monte-Carlo shots for the noisy stabilizer simulation of the
-     * extracted Clifford tail (0 = analytic success probabilities
+     * Any value > 0 requests the exact noisy expectation of
+     * `observable` on the extracted Clifford tail and scales the
+     * echoed fault-site count (0 = analytic success probabilities
      * only). Requires `observable`.
      */
     uint64_t shots = 0;
 
-    /** RNG seed for the Monte-Carlo sampler (deterministic per seed). */
+    /** Echoed on the result line; changes no output. */
     uint64_t seed = 1;
 
-    /** Pauli label measured in the Monte-Carlo run, e.g. "ZZI". */
+    /** Pauli label whose noisy expectation is reported, e.g. "ZZI". */
     std::string observable;
 };
 

@@ -36,6 +36,63 @@ inverseGate(const Gate &g)
     return inv;
 }
 
+/** The observable pulled back through a Clifford circuit: its letters
+ *  at every fault site and its ideal expectation. */
+struct PullBack
+{
+    std::vector<SiteLetters> sites;
+
+    /** <0...0| U~ O U |0...0>: 0, +1 or -1. */
+    int ideal = 0;
+};
+
+/**
+ * Heisenberg fault pull-back: conjugate the observable backwards
+ * through the circuit once, recording its letters at every fault site
+ * (= after every gate). A fault F at site j commutes or anticommutes
+ * with the pulled-back observable O_j, so a trajectory's expectation is
+ * the ideal value times (-1)^k with k the number of anticommuting
+ * faults — no per-trajectory simulation.
+ */
+PullBack
+pullBack(const QuantumCircuit &qc, const PauliString &observable)
+{
+    assert(qc.isClifford() &&
+           "noisy stabilizer simulation needs a Clifford circuit");
+    assert(observable.numQubits() == qc.numQubits());
+    assert((observable.phase() & 1) == 0 &&
+           "noisy expectation needs a Hermitian observable");
+    const auto &gates = qc.gates();
+    PullBack back;
+    back.sites.resize(gates.size());
+    PauliString pulled = observable;
+    for (size_t j = gates.size(); j-- > 0;) {
+        const Gate &g = gates[j];
+        SiteLetters &site = back.sites[j];
+        site.twoQubit = isTwoQubit(g.type) ? 1 : 0;
+        site.l0 = static_cast<uint8_t>(
+            static_cast<uint8_t>(pulled.xBit(g.q0)) |
+            (static_cast<uint8_t>(pulled.zBit(g.q0)) << 1));
+        site.l1 = site.twoQubit
+                      ? static_cast<uint8_t>(
+                            static_cast<uint8_t>(pulled.xBit(g.q1)) |
+                            (static_cast<uint8_t>(pulled.zBit(g.q1)) << 1))
+                      : 0;
+        applyGateToPauli(pulled, inverseGate(g));
+    }
+
+    // The ideal expectation is zero if the fully pulled-back observable
+    // has any X/Y, else its (real) sign.
+    uint64_t any_x = 0;
+    for (const uint64_t w : pulled.xWords())
+        any_x |= w;
+    if (any_x == 0) {
+        assert(pulled.phase() == 0 || pulled.phase() == 2);
+        back.ideal = pulled.phase() == 0 ? 1 : -1;
+    }
+    return back;
+}
+
 /** 1 iff the fault letter flips the trajectory sign at this site:
  *  both letters non-identity and different anticommute. */
 inline unsigned
@@ -106,6 +163,34 @@ NoiseModel::sampleTwoQubitError(Rng &rng) const
     return { kLetter[k & 3], kLetter[k >> 2] };
 }
 
+double
+NoiseModel::exactStabilizerExpectation(const QuantumCircuit &qc,
+                                       const PauliString &observable) const
+{
+    const PullBack back = pullBack(qc, observable);
+    if (back.ideal == 0)
+        return 0.0;
+    // Each fault site flips the trajectory sign independently with
+    // probability q_j, so <O> = ideal * prod_j (1 - 2 q_j). Two of the
+    // three 1q faults anticommute with a non-identity letter
+    // (q = 2 p1 / 3), and 8 of the 15 2q faults anticommute with a
+    // non-identity letter pair (q = 8 p2 / 15); a site the observable
+    // does not touch has q = 0.
+    size_t touched_1q = 0;
+    size_t touched_2q = 0;
+    for (const SiteLetters &site : back.sites) {
+        if (site.twoQubit)
+            touched_2q += (site.l0 | site.l1) != 0;
+        else
+            touched_1q += site.l0 != 0;
+    }
+    return static_cast<double>(back.ideal) *
+           std::pow(1.0 - 4.0 * singleQubitError / 3.0,
+                    static_cast<double>(touched_1q)) *
+           std::pow(1.0 - 16.0 * twoQubitError / 15.0,
+                    static_cast<double>(touched_2q));
+}
+
 uint64_t
 NoiseModel::shotSeed(uint64_t seed, uint64_t shot)
 {
@@ -137,50 +222,13 @@ NoiseModel::noisyStabilizerExpectation(const QuantumCircuit &qc,
                                        size_t shots,
                                        const SamplerOptions &options) const
 {
-    assert(qc.isClifford() &&
-           "noisy stabilizer simulation needs a Clifford circuit");
-    assert(observable.numQubits() == qc.numQubits());
-    assert((observable.phase() & 1) == 0 &&
-           "noisy expectation needs a Hermitian observable");
     NoisySimResult result;
     result.faultSites = shots * qc.gates().size();
     if (shots == 0)
         return result;
-
-    // Heisenberg fault pull-back: conjugate the observable backwards
-    // through the circuit once, recording its letters at every fault
-    // site (= after every gate). A sampled fault F at site j commutes
-    // or anticommutes with the pulled-back observable O_j, so the
-    // trajectory's expectation is the ideal value times (-1)^k with k
-    // the number of anticommuting faults — no per-shot simulation.
-    const auto &gates = qc.gates();
-    std::vector<SiteLetters> sites(gates.size());
-    PauliString pulled = observable;
-    for (size_t j = gates.size(); j-- > 0;) {
-        const Gate &g = gates[j];
-        SiteLetters &site = sites[j];
-        site.twoQubit = isTwoQubit(g.type) ? 1 : 0;
-        site.l0 = static_cast<uint8_t>(
-            static_cast<uint8_t>(pulled.xBit(g.q0)) |
-            (static_cast<uint8_t>(pulled.zBit(g.q0)) << 1));
-        site.l1 = site.twoQubit
-                      ? static_cast<uint8_t>(
-                            static_cast<uint8_t>(pulled.xBit(g.q1)) |
-                            (static_cast<uint8_t>(pulled.zBit(g.q1)) << 1))
-                      : 0;
-        applyGateToPauli(pulled, inverseGate(g));
-    }
-
-    // Ideal expectation = <0...0| U~ O U |0...0>: zero if the fully
-    // pulled-back observable has any X/Y, else its (real) sign.
-    int ideal = 0;
-    uint64_t any_x = 0;
-    for (const uint64_t w : pulled.xWords())
-        any_x |= w;
-    if (any_x == 0) {
-        assert(pulled.phase() == 0 || pulled.phase() == 2);
-        ideal = pulled.phase() == 0 ? 1 : -1;
-    }
+    const PullBack back = pullBack(qc, observable);
+    const std::vector<SiteLetters> &sites = back.sites;
+    const int ideal = back.ideal;
 
     const size_t num_blocks = (shots + kShotBlock - 1) / kShotBlock;
     std::vector<int64_t> block_sum(num_blocks, 0);

@@ -8,7 +8,9 @@
  * Pauli channels for Monte-Carlo fault injection: on Clifford
  * circuits, sampled Pauli faults keep every trajectory a stabilizer
  * state, so noisy expectation values are simulable at scale
- * (Gottesman-Knill, the same fact Clifford Absorption exploits).
+ * (Gottesman-Knill, the same fact Clifford Absorption exploits). Under
+ * these channels the noisy expectation also has a closed form, which
+ * exactStabilizerExpectation evaluates in one pass over the gates.
  */
 #ifndef QUCLEAR_SIM_NOISE_MODEL_HPP
 #define QUCLEAR_SIM_NOISE_MODEL_HPP
@@ -63,6 +65,23 @@ struct NoiseModel
 
     /** Draw a fault pair from the 2q channel ({I, I} = no error). */
     std::pair<PauliOp, PauliOp> sampleTwoQubitError(Rng &rng) const;
+
+    /**
+     * Exact expectation of @p observable on @p qc with a depolarizing
+     * fault after every gate (the channels above): the value the
+     * Monte-Carlo sampler below converges to, with no sampling. The
+     * observable is pulled back once from the last gate to the first;
+     * each fault site flips its sign independently with probability
+     * q_j, so <O> = ideal * prod_j (1 - 2 q_j), where q_j = 2 p1 / 3 at
+     * a 1q site whose pulled-back letter is not the identity,
+     * 8 p2 / 15 at a 2q site with any non-identity letter, and 0
+     * otherwise. The ideal value is 0 if the fully pulled-back
+     * observable has an X or Y letter, and its sign otherwise.
+     * Same preconditions as the sampler: @p qc is Clifford and
+     * @p observable is Hermitian.
+     */
+    double exactStabilizerExpectation(const QuantumCircuit &qc,
+                                      const PauliString &observable) const;
 
     /** Outcome of a Monte-Carlo noisy stabilizer simulation. */
     struct NoisySimResult

@@ -28,7 +28,10 @@ class Pass
 
     /**
      * Rewrite the circuit in place.
-     * @return true iff anything changed (drives fixpoint iteration)
+     * @return true iff anything changed (drives fixpoint iteration).
+     * A pass must be deterministic and leave the circuit untouched when
+     * it returns false: PassManager::run stops as soon as every pass
+     * has left the same circuit unchanged.
      */
     virtual bool run(QuantumCircuit &qc) const = 0;
 };

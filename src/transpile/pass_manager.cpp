@@ -21,13 +21,24 @@ PassManager::addPass(std::unique_ptr<Pass> pass)
 size_t
 PassManager::run(QuantumCircuit &qc, size_t max_iterations) const
 {
+    // Passes are deterministic, so once the last passes_.size() runs
+    // all left the circuit unchanged, every later run in this sweep
+    // would see a circuit it already left unchanged: the fixpoint is
+    // reached without finishing the confirming sweep.
     size_t effective_sweeps = 0;
+    size_t unchanged_runs = 0;
     for (size_t sweep = 0; sweep < max_iterations; ++sweep) {
         bool changed = false;
-        for (const auto &pass : passes_)
-            changed |= pass->run(qc);
+        for (const auto &pass : passes_) {
+            if (pass->run(qc)) {
+                changed = true;
+                unchanged_runs = 0;
+            } else if (++unchanged_runs == passes_.size()) {
+                return effective_sweeps;
+            }
+        }
         if (!changed)
-            break;
+            break; // an empty pipeline
         ++effective_sweeps;
     }
     return effective_sweeps;

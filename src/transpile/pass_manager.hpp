@@ -24,7 +24,10 @@ class PassManager
 
     /**
      * Run all passes in order, repeating the whole pipeline until a full
-     * sweep makes no change (bounded by @p max_iterations sweeps).
+     * sweep's worth of consecutive pass runs makes no change (bounded by
+     * @p max_iterations sweeps). The result is the same as running
+     * until a whole sweep makes no change, since a pass that left a
+     * circuit unchanged leaves it unchanged again.
      * @return number of sweeps that changed something
      */
     size_t run(QuantumCircuit &qc, size_t max_iterations = 32) const;

@@ -10,10 +10,13 @@
 
 #include <array>
 #include <cmath>
+#include <complex>
+#include <utility>
 #include <vector>
 
 #include "reference_stabilizer_simulator.hpp"
 #include "sim/noise_model.hpp"
+#include "sim/statevector.hpp"
 #include "tableau/clifford_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
@@ -22,39 +25,115 @@ namespace quclear {
 namespace {
 
 /**
- * Exact damping of <O> under the sampler's depolarizing channels: each
- * fault site flips the trajectory sign independently with probability
- * q_j, so <O> = ideal * prod_j (1 - 2 q_j). Two of the three 1q faults
- * anticommute with a non-identity letter (q = 2 p1 / 3), and 8 of the
- * 15 2q faults anticommute with a non-identity letter pair
- * (q = 8 p2 / 15); a site the observable does not touch has q = 0.
- * The observable is pulled back gate by gate from the end of @p qc,
- * so the letters at site j are those of the gates after j.
+ * Dense density matrix on a few qubits, stored as its columns: the
+ * exact oracle for the depolarizing model. Every gate is applied as
+ * rho -> U rho U^dagger and followed by its depolarizing channel,
+ * rho -> (1 - p) rho + p/3 sum_P P rho P over the three 1q Paulis or
+ * p/15 over the fifteen non-identity 2q Paulis.
  */
-double
-closedFormDamping(const NoiseModel &noise, const QuantumCircuit &qc,
-                  const PauliString &observable)
+class DensityMatrix
 {
-    const double flip_1q = 2.0 * noise.singleQubitError / 3.0;
-    const double flip_2q = 8.0 * noise.twoQubitError / 15.0;
-    double damping = 1.0;
-    PauliString pulled = observable;
-    const auto &gates = qc.gates();
-    for (size_t j = gates.size(); j-- > 0;) {
-        const Gate &g = gates[j];
-        if (isTwoQubit(g.type)) {
-            if (pulled.op(g.q0) != PauliOp::I ||
-                pulled.op(g.q1) != PauliOp::I)
-                damping *= 1.0 - 2.0 * flip_2q;
-        } else if (pulled.op(g.q0) != PauliOp::I) {
-            damping *= 1.0 - 2.0 * flip_1q;
-        }
-        Gate inverse = g;
-        inverse.type = inverseType(g.type);
-        applyGateToPauli(pulled, inverse);
+  public:
+    explicit DensityMatrix(uint32_t n)
+        : n_(n), columns_(size_t(1) << n, Statevector(n))
+    {
+        // rho = |0><0|: column 0 is |0...0>, every other column is zero.
+        const std::vector<Statevector::Complex> zero(columns_.size());
+        for (size_t j = 1; j < columns_.size(); ++j)
+            columns_[j].setAmplitudes(zero);
     }
-    return damping;
-}
+
+    /** Apply @p g, then its depolarizing channel under @p noise. */
+    void
+    applyNoisyGate(const Gate &g, const NoiseModel &noise)
+    {
+        conjugate([&](Statevector &v) { v.applyGate(g); });
+        if (isTwoQubit(g.type))
+            depolarize({ g.q0, g.q1 }, noise.twoQubitError);
+        else
+            depolarize({ g.q0 }, noise.singleQubitError);
+    }
+
+    /** Tr(rho O) = sum_j (O column_j)[j]; must be real. */
+    double
+    expectation(const PauliString &observable) const
+    {
+        Statevector::Complex trace = 0.0;
+        for (size_t j = 0; j < columns_.size(); ++j) {
+            Statevector column = columns_[j];
+            column.applyPauli(observable);
+            trace += column.amplitude(j);
+        }
+        EXPECT_NEAR(trace.imag(), 0.0, 1e-12);
+        return trace.real();
+    }
+
+  private:
+    /** rho -> U rho U^dagger for the unitary that @p apply applies:
+     *  U rho, then U (U rho)^dagger = U rho U^dagger (rho Hermitian). */
+    template <typename Apply>
+    void
+    conjugate(const Apply &apply)
+    {
+        for (Statevector &column : columns_)
+            apply(column);
+        const size_t dim = columns_.size();
+        std::vector<Statevector> adjoint(dim, Statevector(n_));
+        for (size_t i = 0; i < dim; ++i) {
+            std::vector<Statevector::Complex> amps(dim);
+            for (size_t j = 0; j < dim; ++j)
+                amps[j] = std::conj(columns_[j].amplitude(i));
+            adjoint[i].setAmplitudes(std::move(amps));
+        }
+        columns_ = std::move(adjoint);
+        for (Statevector &column : columns_)
+            apply(column);
+    }
+
+    /** rho -> (1 - p) rho + p / (4^k - 1) sum_{P != I} P rho P over the
+     *  k = qubits.size() qubits. */
+    void
+    depolarize(std::vector<uint32_t> qubits, double p)
+    {
+        const size_t paulis = size_t(1) << (2 * qubits.size());
+        const double weight = p / static_cast<double>(paulis - 1);
+        std::vector<Statevector> mixed = columns_;
+        for (Statevector &column : mixed)
+            scale(column, 1.0 - p);
+        for (size_t code = 1; code < paulis; ++code) {
+            PauliString fault(n_);
+            for (size_t k = 0; k < qubits.size(); ++k)
+                fault.setOp(qubits[k],
+                            static_cast<PauliOp>((code >> (2 * k)) & 3));
+            DensityMatrix term = *this;
+            term.conjugate([&](Statevector &v) { v.applyPauli(fault); });
+            for (size_t j = 0; j < columns_.size(); ++j)
+                addScaled(mixed[j], term.columns_[j], weight);
+        }
+        columns_ = std::move(mixed);
+    }
+
+    static void
+    scale(Statevector &v, double factor)
+    {
+        std::vector<Statevector::Complex> amps = v.amplitudes();
+        for (auto &a : amps)
+            a *= factor;
+        v.setAmplitudes(std::move(amps));
+    }
+
+    static void
+    addScaled(Statevector &into, const Statevector &from, double factor)
+    {
+        std::vector<Statevector::Complex> amps = into.amplitudes();
+        for (size_t i = 0; i < amps.size(); ++i)
+            amps[i] += factor * from.amplitude(i);
+        into.setAmplitudes(std::move(amps));
+    }
+
+    uint32_t n_;
+    std::vector<Statevector> columns_;
+};
 
 QuantumCircuit
 ghzCircuit(uint32_t n)
@@ -276,8 +355,8 @@ TEST(NoiseModelTest, SamplerMatchesClosedFormOnRandomCliffords)
         const int ideal_exp = ideal.expectation(obs);
         ASSERT_NE(ideal_exp, 0) << "trial " << trial;
 
-        const double exact =
-            ideal_exp * closedFormDamping(noise, qc, obs);
+        const double exact = noise.exactStabilizerExpectation(qc, obs);
+        EXPECT_EQ(exact > 0.0, ideal_exp > 0) << "trial " << trial;
         EXPECT_LT(std::abs(exact), 0.9) << "trial " << trial;
 
         const size_t shots = 20000;
@@ -290,6 +369,61 @@ TEST(NoiseModelTest, SamplerMatchesClosedFormOnRandomCliffords)
         EXPECT_NEAR(result.expectation, exact, 4.0 * sigma)
             << "trial " << trial << " exact " << exact;
     }
+}
+
+TEST(NoiseModelTest, ExactExpectationMatchesDensityMatrixOracle)
+{
+    // (p1, p2) from noiseless through maximally depolarizing, where a
+    // touched 1q site damps by -1/3 and a touched 2q site by -1/15.
+    const std::vector<std::pair<double, double>> rates = {
+        { 0.0, 0.0 }, { 1.0, 1.0 }, { 0.02, 0.05 },
+        { 1.0, 0.0 }, { 0.0, 1.0 }, { 0.3, 0.7 },
+    };
+    Rng rng(31415);
+    size_t ideal_zero = 0;
+    size_t ideal_nonzero = 0;
+    for (int trial = 0; trial < 32; ++trial) {
+        const uint32_t n = 1 + static_cast<uint32_t>(trial % 4);
+        QuantumCircuit qc(n);
+        const size_t gates = 1 + rng.uniformInt(20);
+        for (size_t k = 0; k < gates; ++k)
+            qc.append(randomCliffordGate(n, rng));
+
+        // Even trials measure a stabilizer of the output state, of
+        // either sign (ideal = +-1); odd trials a uniform Pauli, whose
+        // ideal expectation is mostly 0.
+        PauliString obs(n);
+        if (trial % 2 == 0) {
+            const CliffordTableau tab = CliffordTableau::fromCircuit(qc);
+            obs = tab.imageZ(static_cast<uint32_t>(rng.uniformInt(n)));
+            for (uint32_t q = 0; q < n; ++q)
+                if (rng.uniformInt(2) == 1)
+                    obs.mulRight(tab.imageZ(q));
+            if (trial % 4 == 2)
+                obs.setPhase(static_cast<uint8_t>(obs.phase() + 2));
+        } else {
+            for (uint32_t q = 0; q < n; ++q)
+                obs.setOp(q, static_cast<PauliOp>(rng.uniformInt(4)));
+        }
+        ReferenceStabilizerSimulator ideal(n);
+        ideal.applyCircuit(qc);
+        ++(ideal.expectation(obs) == 0 ? ideal_zero : ideal_nonzero);
+
+        for (const auto &[p1, p2] : rates) {
+            NoiseModel noise;
+            noise.singleQubitError = p1;
+            noise.twoQubitError = p2;
+            DensityMatrix rho(n);
+            for (const Gate &g : qc.gates())
+                rho.applyNoisyGate(g, noise);
+            EXPECT_NEAR(noise.exactStabilizerExpectation(qc, obs),
+                        rho.expectation(obs), 1e-12)
+                << "trial " << trial << " p1=" << p1 << " p2=" << p2
+                << " observable " << obs.toLabel();
+        }
+    }
+    EXPECT_GE(ideal_zero, 8u);
+    EXPECT_GE(ideal_nonzero, 16u);
 }
 
 TEST(NoiseModelTest, BatchedSamplerBitIdenticalAcrossThreadGrid)

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <sstream>
@@ -27,6 +28,8 @@
 #include "service/protocol.hpp"
 #include "service/scheduler.hpp"
 #include "service/server.hpp"
+#include "sim/noise_model.hpp"
+#include "tableau/clifford_tableau.hpp"
 #include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
 #include "util/worker_pool.hpp"
@@ -388,25 +391,48 @@ TEST(JobRunner, NoiseObservableMismatchIsInvalidJob)
     EXPECT_EQ(errorCodeOf(result), "invalid-job");
 }
 
-TEST(JobRunner, NoiseMonteCarloIsSeedDeterministic)
+TEST(JobRunner, NoiseExpectationIsExactAndSeedFree)
 {
-    const ParsedJob parsed = parseJobLine(
-        smokeJobLine(
-            "j", R"({"noise":{"shots":100,"seed":11,"observable":"ZZZ"}})"),
-        0);
-    ASSERT_EQ(parsed.error, ServiceError::None);
-    const JsonValue a = parseResult(runJobLine(parsed.request, 0));
-    const JsonValue b = parseResult(runJobLine(parsed.request, 0));
-    const JsonValue *na = a.find("results")->find("noise");
-    const JsonValue *nb = b.find("results")->find("noise");
+    // The observable is a stabilizer of the compiled tail's output
+    // state, so its ideal expectation is +-1 and the damping shows.
+    const QuClear compiler; // the job's default knobs
+    const CompiledProgram program =
+        compiler.compileCircuit(fromQasm(kSmokeQasm));
+    const QuantumCircuit &tail = program.extraction.extractedClifford;
+    ASSERT_GT(tail.size(), 0u);
+    const PauliString observable =
+        CliffordTableau::fromCircuit(tail).imageZ(0);
+    NoiseModel model;
+    model.singleQubitError = 0.01;
+    model.twoQubitError = 0.05;
+    const double exact = model.exactStabilizerExpectation(tail, observable);
+    EXPECT_NE(exact, 0.0);
+    EXPECT_LT(std::abs(exact), 1.0);
+
+    // Two jobs that differ only in seed and threads.
+    const std::string noise = R"("noise":{"p1":0.01,"p2":0.05,"shots":100,)"
+                              R"("observable":")" +
+                              observable.toLabel() + R"(",)";
+    const ParsedJob a = parseJobLine(
+        smokeJobLine("j", "{\"threads\":1," + noise + R"("seed":11}})"), 0);
+    const ParsedJob b = parseJobLine(
+        smokeJobLine("j", "{\"threads\":3," + noise + R"("seed":99}})"), 0);
+    ASSERT_EQ(a.error, ServiceError::None) << a.message;
+    ASSERT_EQ(b.error, ServiceError::None) << b.message;
+    const JsonValue ra = parseResult(runJobLine(a.request, 0));
+    const JsonValue rb = parseResult(runJobLine(b.request, 0));
+    const JsonValue *na = ra.find("results")->find("noise");
+    const JsonValue *nb = rb.find("results")->find("noise");
     ASSERT_NE(na, nullptr);
-    EXPECT_DOUBLE_EQ(na->find("tail_expectation")->asDouble(),
-                     nb->find("tail_expectation")->asDouble());
-    EXPECT_EQ(na->find("error_events")->asUint(),
-              nb->find("error_events")->asUint());
-    EXPECT_EQ(na->find("fault_sites")->asUint(),
-              nb->find("fault_sites")->asUint());
-    EXPECT_GT(na->find("fault_sites")->asUint(), 0u);
+    ASSERT_NE(nb, nullptr);
+    EXPECT_EQ(na->find("tail_expectation")->asDouble(), exact);
+    EXPECT_EQ(nb->find("tail_expectation")->asDouble(), exact);
+    EXPECT_EQ(na->find("seed")->asUint(), 11u);
+    EXPECT_EQ(nb->find("seed")->asUint(), 99u);
+    EXPECT_EQ(na->find("fault_sites")->asUint(), 100 * tail.size());
+    EXPECT_EQ(nb->find("fault_sites")->asUint(), 100 * tail.size());
+    EXPECT_EQ(na->find("error_events"), nullptr);
+    EXPECT_EQ(nb->find("error_events"), nullptr);
 }
 
 // --------------------------------------------------------------------

@@ -4,7 +4,12 @@
  * pass must preserve the circuit unitary — checked exactly on dense
  * statevectors — while removing the targeted patterns.
  */
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -862,6 +867,138 @@ TEST(Level3ReferenceTest, PassesMatchReferenceOnCompiledProgram)
         if (HasFatalFailure())
             return;
     }
+}
+
+/**
+ * The seed PassManager::run loop, verbatim: every sweep runs every
+ * pass, and the loop ends after a whole sweep that changed nothing.
+ */
+size_t
+fullSweepRun(const std::vector<std::unique_ptr<Pass>> &passes_,
+             QuantumCircuit &qc, size_t max_iterations = 32)
+{
+    size_t effective_sweeps = 0;
+    for (size_t sweep = 0; sweep < max_iterations; ++sweep) {
+        bool changed = false;
+        for (const auto &pass : passes_)
+            changed |= pass->run(qc);
+        if (!changed)
+            break;
+        ++effective_sweeps;
+    }
+    return effective_sweeps;
+}
+
+/** Forwards to a pass and counts its runs. */
+class CountingPass : public Pass
+{
+  public:
+    CountingPass(std::unique_ptr<Pass> inner, size_t &runs)
+        : inner_(std::move(inner)), runs_(runs)
+    {
+    }
+
+    std::string name() const override { return inner_->name(); }
+
+    bool
+    run(QuantumCircuit &qc) const override
+    {
+        ++runs_;
+        return inner_->run(qc);
+    }
+
+  private:
+    std::unique_ptr<Pass> inner_;
+    size_t &runs_;
+};
+
+/** PassManager::level3()'s passes, in its order. */
+std::vector<std::unique_ptr<Pass>>
+level3Passes()
+{
+    std::vector<std::unique_ptr<Pass>> passes;
+    passes.push_back(std::make_unique<SingleQubitFusion>());
+    passes.push_back(std::make_unique<CxCancellation>());
+    passes.push_back(std::make_unique<HadamardRewrite>());
+    passes.push_back(std::make_unique<CommutativeCancellation>());
+    passes.push_back(std::make_unique<PhaseRotationFolding>());
+    return passes;
+}
+
+/**
+ * Run the level-3 pipeline through PassManager::run and through the
+ * full-sweep loop on copies of @p qc; require the same gates and the
+ * same sweep count. @return pass runs the early stop saved.
+ */
+size_t
+expectEarlyStopMatchesFullSweeps(const QuantumCircuit &qc,
+                                 size_t max_iterations = 32)
+{
+    size_t runs = 0;
+    PassManager pm;
+    for (auto &pass : level3Passes())
+        pm.addPass(std::make_unique<CountingPass>(std::move(pass), runs));
+    QuantumCircuit early = qc, full = qc;
+    const size_t sweeps = pm.run(early, max_iterations);
+    EXPECT_EQ(sweeps, fullSweepRun(level3Passes(), full, max_iterations));
+    expectIdentical(true, early, true, full);
+    const size_t full_runs = 5 * std::min(max_iterations, sweeps + 1);
+    EXPECT_LE(runs, full_runs);
+    return full_runs - runs;
+}
+
+TEST(PassManagerEarlyStopTest, MatchesFullSweepsOnTableII)
+{
+    // Raw U' and Clifford tail of every fast Table II instance, the two
+    // circuits QuClear::compile runs the pipeline over.
+    QuClearOptions options;
+    options.applyLocalOptimization = false;
+    options.optimizeDepth = false;
+    size_t saved = 0;
+    for (const std::string &name : fastBenchmarkNames()) {
+        SCOPED_TRACE(name);
+        const CompiledProgram raw =
+            QuClear(options).compile(makeBenchmark(name).terms);
+        for (const QuantumCircuit *qc :
+             { &raw.extraction.optimized, &raw.extraction.extractedClifford }) {
+            saved += expectEarlyStopMatchesFullSweeps(*qc);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    EXPECT_GT(saved, 0u);
+}
+
+TEST(PassManagerEarlyStopTest, MatchesFullSweepsOnRandomCircuits)
+{
+    Rng rng(2207);
+    size_t saved = 0;
+    for (int trial = 0; trial < 24; ++trial) {
+        const uint32_t n = static_cast<uint32_t>(rng.uniformRange(2, 12));
+        const size_t gates = static_cast<size_t>(rng.uniformRange(4, 400));
+        QuantumCircuit qc;
+        switch (trial % 3) {
+          case 0: qc = randomCircuit(n, gates, rng); break;
+          case 1: qc = randomRichCircuit(n, gates, rng); break;
+          default: qc = randomParityCircuit(n, gates, rng); break;
+        }
+        // The sweep bound too: 1 and 2 cut most pipelines short.
+        for (const size_t max_iterations : { 1, 2, 32 }) {
+            saved += expectEarlyStopMatchesFullSweeps(qc, max_iterations);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    EXPECT_GT(saved, 0u);
+}
+
+TEST(PassManagerEarlyStopTest, EmptyPipelineRunsNoSweep)
+{
+    QuantumCircuit qc(2);
+    qc.h(0);
+    qc.h(0);
+    EXPECT_EQ(PassManager().run(qc), 0u);
+    EXPECT_EQ(qc.size(), 2u);
 }
 
 } // namespace

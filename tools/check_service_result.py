@@ -103,6 +103,14 @@ def check_ok(doc):
                     f"results.noise.{rate} must be a rate in [0, 1]")
         require(is_number(noise.get("optimized_success_probability")),
                 "results.noise.optimized_success_probability is required")
+        if "observable" in noise:
+            value = noise.get("tail_expectation")
+            require(is_number(value) and -1.0 <= value <= 1.0,
+                    "results.noise.tail_expectation must be a number "
+                    "in [-1, 1]")
+            require(is_uint(noise.get("fault_sites")),
+                    "results.noise.fault_sites must be a non-negative "
+                    "integer")
 
 
 def check_error(doc):
