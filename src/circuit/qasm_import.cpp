@@ -10,6 +10,8 @@
 #include <string>
 #include <string_view>
 
+#include "util/quote_input.hpp"
+
 namespace quclear {
 
 namespace {
@@ -27,22 +29,6 @@ constexpr int kMaxAngleNesting = 64;
 fail(const std::string &message)
 {
     throw std::invalid_argument("QASM parse error: " + message);
-}
-
-/** Longest piece of the input an error message repeats. */
-constexpr size_t kMaxQuotedBytes = 64;
-
-/**
- * Input text for an error message, in single quotes: at most
- * kMaxQuotedBytes of it, then "..." when it was cut, so a hostile
- * megabyte line cannot make a megabyte error.
- */
-std::string
-quote(std::string_view text)
-{
-    if (text.size() <= kMaxQuotedBytes)
-        return "'" + std::string(text) + "'";
-    return "'" + std::string(text.substr(0, kMaxQuotedBytes)) + "...'";
 }
 
 /**
@@ -227,7 +213,7 @@ class AngleParser
             return kPi;
         double value;
         if (!parseDouble(token, value))
-            fail("cannot evaluate angle " + quote(token));
+            fail("cannot evaluate angle " + quoteInput(token));
         return value;
     }
 
@@ -284,12 +270,12 @@ parseQubit(std::string_view token, std::string_view reg_name,
     const size_t close = t.find(']');
     if (open == std::string_view::npos || close == std::string_view::npos ||
         close < open)
-        fail("malformed qubit reference " + quote(t));
+        fail("malformed qubit reference " + quoteInput(t));
     if (t.substr(0, open) != reg_name)
-        fail("unknown register " + quote(t.substr(0, open)));
+        fail("unknown register " + quoteInput(t.substr(0, open)));
     const auto idx = parseIndex(t.substr(open + 1, close - open - 1));
     if (!idx || *idx >= reg_size)
-        fail("qubit index out of range in " + quote(t));
+        fail("qubit index out of range in " + quoteInput(t));
     return static_cast<uint32_t>(*idx);
 }
 
@@ -371,7 +357,7 @@ importStatement(std::string_view stmt, ImportState &state)
         const auto size = parseIndex(stmt.substr(open + 1, close - open - 1));
         if (!size)
             fail("qreg size must be an integer of at most " +
-                 std::to_string(kMaxQasmQubits) + " in " + quote(stmt));
+                 std::to_string(kMaxQasmQubits) + " in " + quoteInput(stmt));
         if (*size == 0)
             fail("qreg size must be positive");
         state.regSize = static_cast<uint32_t>(*size);
@@ -393,10 +379,10 @@ importStatement(std::string_view stmt, ImportState &state)
     if (!rest.empty() && rest.front() == '(') {
         const size_t close = matchingParen(rest);
         if (close == std::string_view::npos)
-            fail("unterminated parameter list in " + quote(stmt));
+            fail("unterminated parameter list in " + quoteInput(stmt));
         angle = AngleParser(rest.substr(1, close - 1)).parse();
         if (!std::isfinite(angle))
-            fail("non-finite angle in " + quote(stmt));
+            fail("non-finite angle in " + quoteInput(stmt));
         has_angle = true;
         rest = trim(rest.substr(close + 1));
     }
@@ -417,24 +403,25 @@ importStatement(std::string_view stmt, ImportState &state)
 
     const GateName *gate = findGate(name);
     if (gate == nullptr)
-        fail("unsupported gate " + quote(name));
+        fail("unsupported gate " + quoteInput(name));
     switch (gate->shape) {
       case GateShape::Rotation:
         if (!has_angle || num_qubits != 1)
-            fail("rotation " + quote(name) + " needs (angle) and 1 qubit");
+            fail("rotation " + quoteInput(name) +
+                 " needs (angle) and 1 qubit");
         state.qc.append(Gate(gate->type, qubits[0], angle));
         break;
       case GateShape::One:
         if (has_angle || num_qubits != 1)
-            fail("gate " + quote(name) + " takes exactly 1 qubit");
+            fail("gate " + quoteInput(name) + " takes exactly 1 qubit");
         state.qc.append(Gate(gate->type, qubits[0]));
         break;
       case GateShape::Two:
         if (has_angle || num_qubits != 2)
-            fail("gate " + quote(name) + " takes exactly 2 qubits");
+            fail("gate " + quoteInput(name) + " takes exactly 2 qubits");
         if (qubits[0] == qubits[1])
-            fail("gate " + quote(name) + " repeats qubit operand in " +
-                 quote(stmt));
+            fail("gate " + quoteInput(name) + " repeats qubit operand in " +
+                 quoteInput(stmt));
         state.qc.append(Gate(gate->type, qubits[0], qubits[1]));
         break;
     }

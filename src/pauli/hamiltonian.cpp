@@ -4,6 +4,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstdlib>
 #include <iomanip>
 #include <map>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "sim/statevector.hpp"
+#include "util/quote_input.hpp"
 
 namespace quclear {
 
@@ -46,21 +48,27 @@ Hamiltonian::fromText(const std::string &text)
         if (comment != std::string::npos)
             line = line.substr(0, comment);
         std::istringstream fields(line);
-        double coefficient;
-        std::string label;
-        if (!(fields >> coefficient))
+        std::string token;
+        if (!(fields >> token))
             continue; // blank or comment-only line
-        if (!(fields >> label)) {
-            throw std::invalid_argument(
-                "Hamiltonian line " + std::to_string(line_number) +
-                ": missing Pauli label");
+        const auto error = [line_number](const std::string &what) {
+            return std::invalid_argument("Hamiltonian line " +
+                                         std::to_string(line_number) +
+                                         ": " + what);
+        };
+        char *end = nullptr;
+        const double coefficient = std::strtod(token.c_str(), &end);
+        if (end != token.c_str() + token.size() ||
+            !std::isfinite(coefficient)) {
+            throw error("coefficient " + quoteInput(token) +
+                        " is not a finite number");
         }
+        std::string label;
+        if (!(fields >> label))
+            throw error("missing Pauli label");
         std::string trailing;
-        if (fields >> trailing) {
-            throw std::invalid_argument(
-                "Hamiltonian line " + std::to_string(line_number) +
-                ": unexpected trailing token '" + trailing + "'");
-        }
+        if (fields >> trailing)
+            throw error("unexpected trailing token " + quoteInput(trailing));
         h.addTerm(label, coefficient);
     }
     if (h.terms_.empty())

@@ -49,7 +49,10 @@ class Hamiltonian
      *   # H2 sto-3g
      *   -1.0523  IIII
      *    0.3979  IIIZ
-     * @throws std::invalid_argument on malformed lines
+     * @throws std::invalid_argument on a malformed line, naming its
+     *   line number: a coefficient that is not a finite number, a
+     *   missing label or a trailing token. Only a line that is empty
+     *   after its '#' comment is skipped.
      */
     static Hamiltonian fromText(const std::string &text);
 

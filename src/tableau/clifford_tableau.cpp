@@ -452,21 +452,11 @@ CliffordTableau::buildRowMajor(RowMajor &out) const
 {
     const simd::Kernels &k = simd::active();
     const uint32_t rw = wordsForColumns(numQubits_);
-    const uint32_t rw_pad = k.padRowWords(rw);
-    const uint32_t stride = 2 * rw_pad;
-    const size_t padded_rows = 64 * static_cast<size_t>(words_);
-    const size_t need = padded_rows * stride;
-    // The tile scatter below overwrites every meaningful word (all 64
-    // rows of every row block, all rw column blocks), so a zero-fill
-    // is only needed when the geometry changes and the padding words
-    // (which the wide row loads read but never write) could hold
-    // another layout's data.
-    if (out.xz.size() != need || out.rowWords != rw ||
-        out.rowWordsPadded != rw_pad) {
-        out.xz.assign(need, 0);
-        out.rowWords = rw;
-        out.rowWordsPadded = rw_pad;
-    }
+    const uint32_t stride = 2 * rw;
+    // The tile scatter below overwrites every word (all 64 rows of
+    // every row block, all rw column blocks), so no zero-fill.
+    out.xz.resize(64 * static_cast<size_t>(words_) * stride);
+    out.rowWords = rw;
     out.yCount.resize(2 * static_cast<size_t>(numQubits_));
 
     std::fill(out.yCount.begin(), out.yCount.end(),
@@ -498,7 +488,7 @@ CliffordTableau::buildRowMajor(RowMajor &out) const
                 uint64_t *row =
                     &out.xz[(static_cast<size_t>(r0) + i) * stride];
                 row[cb] = tile_x[i];
-                row[rw_pad + cb] = tile_z[i];
+                row[rw + cb] = tile_z[i];
             }
             for (uint32_t i = 0; i < rows; ++i)
                 out.yCount[r0 + i] = static_cast<uint8_t>(
@@ -531,8 +521,6 @@ CliffordTableau::conjugateViaRows(const RowMajor &rm, PauliString &p,
     const uint32_t rw = rm.rowWords;
     simd::RowProductArgs args;
     args.rowsXZ = rm.xz.data();
-    args.stride = 2 * rm.rowWordsPadded;
-    args.rwPad = rm.rowWordsPadded;
     args.rw = rw;
     args.yCount = rm.yCount.data();
     args.signs = signs_.data();
@@ -567,17 +555,15 @@ CliffordTableau::conjugateBatch(std::span<PauliString> terms) const
     buildRowMajor(rm);
 
     const uint32_t rw = rm.rowWords;
-    const uint32_t rw_pad = rm.rowWordsPadded;
     // Scratch: mask + kernel accumulators + result halves. The mask
     // array is deliberately left dirty between terms — the support
     // index tracks which words are live.
     std::vector<uint64_t> scratch(static_cast<size_t>(words_) +
-                                  3 * static_cast<size_t>(rw_pad) +
-                                  2 * static_cast<size_t>(rw));
+                                  5 * static_cast<size_t>(rw));
     SupportIndex idx;
     uint64_t *mask = scratch.data();
     uint64_t *kscratch = mask + words_;
-    uint64_t *out_x = kscratch + 3 * static_cast<size_t>(rw_pad);
+    uint64_t *out_x = kscratch + 3 * static_cast<size_t>(rw);
     uint64_t *out_z = out_x + rw;
     for (PauliString &term : terms)
         conjugateViaRows(rm, term, mask, idx, kscratch, out_x, out_z);

@@ -151,15 +151,13 @@ class CliffordTableau
     /**
      * Row-major snapshot of the bit matrix for the batch conjugation
      * kernel: 64*words_ rows (rows past 2n are zero), each stored as
-     * [x half | z half] with both halves padded to rowWordsPadded
-     * words (padding zero) so the SIMD backends can use full-width
-     * row loads, plus the per-row Y count (|x & z| mod 4) that enters
-     * the conjugation phase. The row stride is 2 * rowWordsPadded.
+     * [x half | z half] of rowWords words each, plus the per-row Y
+     * count (|x & z| mod 4) that enters the conjugation phase. The
+     * row stride is 2 * rowWords.
      */
     struct RowMajor
     {
-        uint32_t rowWords = 0;       // meaningful words per row half
-        uint32_t rowWordsPadded = 0; // padded words per row half
+        uint32_t rowWords = 0; // words per row half
         std::vector<uint64_t> xz;
         std::vector<uint8_t> yCount;
     };
@@ -178,8 +176,8 @@ class CliffordTableau
     /**
      * Conjugate @p p in place as the ordered product of its selected
      * rows from the row-major snapshot (dispatched rowProduct kernel).
-     * Scratch pointers must hold words_ (mask), 3 * rowWordsPadded
-     * (kernel scratch) and rowWords (out_x / out_z) entries; @p idx is
+     * Scratch pointers must hold words_ (mask), 3 * rowWords (kernel
+     * scratch) and rowWords (out_x / out_z) entries; @p idx is
      * the reusable occupancy index over the mask words.
      */
     void conjugateViaRows(const RowMajor &rm, PauliString &p,

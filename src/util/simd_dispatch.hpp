@@ -13,15 +13,12 @@
  *   scalar  the generic kernels with the baseline flags; always
  *           compiled, the semantic reference;
  *   avx2    the generic kernels compiled with -mavx2 and
- *           auto-vectorized, plus hand-written 256-bit mulWords,
- *           denseColumn and rowProduct;
- *   avx512  the generic kernels compiled with -mavx512f/bw/dq/vl,
- *           plus hand-written 512-bit mulWords, denseColumn and
- *           rowProduct.
+ *           auto-vectorized;
+ *   avx512  the generic kernels compiled with -mavx512f/bw/dq/vl and
+ *           auto-vectorized.
  *
- * A hand-written kernel stays only while bench_micro shows it beating
- * the generic build of its own level by at least 1.2x (docs/
- * ARCHITECTURE.md lists them with their medians).
+ * No level carries hand-written intrinsics: one would need a
+ * benchmark workload that runs it (docs/ARCHITECTURE.md).
  *
  * The active table is resolved once per process: the widest backend
  * that is (a) compiled in (CMake option QUCLEAR_SIMD caps the set and
@@ -67,21 +64,18 @@ struct DenseColumnResult
 
 /**
  * Inputs of the batch conjugation row-product walk. The row-major
- * tableau snapshot stores each row as [x words | z words], each half
- * padded to rwPad words (padding is zero) so the wide backends can use
- * full-width loads; stride = 2 * rwPad.
+ * tableau snapshot stores each row as [x words | z words], rw words
+ * per half, so row r starts at r * 2 * rw.
  */
 struct RowProductArgs
 {
-    const uint64_t *rowsXZ; //!< interleaved snapshot, row r at r * stride
-    uint32_t stride;        //!< words per row slot (2 * rwPad)
-    uint32_t rwPad;         //!< padded words per row half
-    uint32_t rw;            //!< meaningful words per row half
+    const uint64_t *rowsXZ; //!< interleaved snapshot, row r at r * 2 * rw
+    uint32_t rw;            //!< words per row half
     const uint8_t *yCount;  //!< per-row |x & z| mod 4
     const uint64_t *signs;  //!< tableau sign words
     const uint64_t *mask;   //!< row-selection mask (valid where indexed)
     const SupportIndex *maskIndex; //!< nonzero mask words
-    uint64_t *scratch;      //!< >= 3 * rwPad words, contents undefined
+    uint64_t *scratch;      //!< >= 3 * rw words, contents undefined
     uint64_t *outX;         //!< result x words (rw written)
     uint64_t *outZ;         //!< result z words (rw written)
 };
@@ -155,13 +149,6 @@ struct Kernels
      * the phase bookkeeping.
      */
     RowProductResult (*rowProduct)(const RowProductArgs &args);
-
-    /**
-     * Row-half padding this backend wants in the row-major snapshot
-     * (so its loads are full vectors). Padding words are zero and do
-     * not affect results.
-     */
-    uint32_t (*padRowWords)(uint32_t rw);
 
     /** In-place 64x64 bit transpose of two tiles (x and z). */
     void (*transpose64x2)(uint64_t *x, uint64_t *z);

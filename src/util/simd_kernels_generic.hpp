@@ -7,11 +7,10 @@
  * for the sign algebra). Each backend TU (simd_kernels_scalar.cpp,
  * _avx2.cpp, _avx512.cpp) includes this file once and is compiled with
  * its own ISA flags, so the same source yields a portable table and
- * two auto-vectorized ones. Some bodies are shaped for the vectorizer:
- * the gate-append columns are __restrict, anticommuteParity folds
- * words before its one popcount, and the transpose walks contiguous
- * half-blocks. A backend TU may then overwrite the entries it
- * hand-writes; those must match these bodies bit for bit.
+ * two auto-vectorized ones; no level carries hand-written intrinsics.
+ * Some bodies are shaped for the vectorizer: the gate-append columns
+ * are __restrict, anticommuteParity folds words before its one
+ * popcount, and the transpose walks contiguous half-blocks.
  *
  * Everything here sits in an anonymous namespace. Each TU therefore
  * gets its own internal copies, and the linker can never fold an
@@ -223,14 +222,18 @@ denseColumn(const uint64_t *xc, const uint64_t *zc, const uint64_t *mask,
 /**
  * Row-product walk with the words-per-row count as a compile-time
  * constant when RW > 0, so the inner word loop fully unrolls (RW == 0
- * is the fallback above 256 qubits).
+ * is the fallback above 256 qubits). A fixed width also keeps the
+ * accumulators in a local array the compiler can hold in registers:
+ * in the caller's scratch every store could alias the next row's
+ * loads, forcing a store and reload per row.
  */
 template <uint32_t RW>
 RowProductResult
 rowProductImpl(const RowProductArgs &a)
 {
     const uint32_t rw = RW != 0 ? RW : a.rw;
-    uint64_t *acc_x = a.scratch;
+    uint64_t local[RW != 0 ? 3 * RW : 1] = {};
+    uint64_t *acc_x = RW != 0 ? local : a.scratch;
     uint64_t *acc_z = acc_x + rw;
     uint64_t *fold = acc_z + rw;
     for (uint32_t u = 0; u < rw; ++u) {
@@ -249,9 +252,8 @@ rowProductImpl(const RowProductArgs &a)
             const uint32_t r =
                 64 * w + static_cast<uint32_t>(std::countr_zero(bits));
             bits &= bits - 1;
-            const uint64_t *xr =
-                a.rowsXZ + static_cast<size_t>(r) * a.stride;
-            const uint64_t *zr = xr + a.rwPad;
+            const uint64_t *xr = a.rowsXZ + static_cast<size_t>(r) * 2 * rw;
+            const uint64_t *zr = xr + rw;
             for (uint32_t u = 0; u < rw; ++u) {
                 fold[u] ^= acc_z[u] & xr[u]; // ordered pairs, j < l
                 acc_x[u] ^= xr[u];
@@ -282,12 +284,6 @@ rowProduct(const RowProductArgs &a)
       case 4:  return rowProductImpl<4>(a);
       default: return rowProductImpl<0>(a);
     }
-}
-
-uint32_t
-padRowWords(uint32_t rw)
-{
-    return rw; // the generic walk needs no padding
 }
 
 /**
@@ -358,7 +354,6 @@ genericKernels(Level level, const char *name)
         mulWords,
         denseColumn,
         rowProduct,
-        padRowWords,
         transpose64x2,
     };
 }

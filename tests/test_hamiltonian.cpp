@@ -66,6 +66,48 @@ TEST(HamiltonianTest, ParserErrors)
                  std::invalid_argument);
 }
 
+TEST(HamiltonianTest, ParserRejectsNonFiniteOrMalformedCoefficients)
+{
+    // A coefficient that is not a finite number is an error naming the
+    // line, not a blank line that leaves the ZZ term alone.
+    for (const char *bad : { "abc", "1e999", "nan", "-inf", "1.0x" }) {
+        const std::string text = std::string("1.0 ZZ\n") + bad + " XX\n";
+        try {
+            Hamiltonian::fromText(text);
+            ADD_FAILURE() << "accepted coefficient " << bad;
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+            EXPECT_NE(what.find(std::string("'") + bad + "'"),
+                      std::string::npos)
+                << what;
+        }
+    }
+    // A sign and exponent form still parse.
+    const Hamiltonian h = Hamiltonian::fromText("+2.5e-1 ZZ\n-1E+1 XX\n");
+    ASSERT_EQ(h.size(), 2u);
+    EXPECT_DOUBLE_EQ(h.terms()[0].coefficient, 0.25);
+    EXPECT_DOUBLE_EQ(h.terms()[1].coefficient, -10.0);
+}
+
+TEST(HamiltonianTest, ParserErrorsQuoteAtMost64Bytes)
+{
+    const std::string long_token(100000, 'q');
+    for (const std::string &text :
+         { long_token + " ZZ\n", "0.5 ZZ " + long_token + "\n" }) {
+        try {
+            Hamiltonian::fromText(text);
+            ADD_FAILURE() << "accepted a 100000-byte token";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_LT(what.size(), 200u) << what;
+            EXPECT_NE(what.find("'" + std::string(64, 'q') + "...'"),
+                      std::string::npos)
+                << what;
+        }
+    }
+}
+
 TEST(HamiltonianTest, TrotterSkipsIdentity)
 {
     Hamiltonian h(2);

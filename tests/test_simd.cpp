@@ -38,8 +38,13 @@ namespace {
 constexpr uint32_t kWordCounts[] = { 1,  2,  3,  4,  5,  7,  8,  9,  12,
                                      15, 16, 17, 31, 32, 33, 63, 64, 65 };
 
-/** Qubit widths for the engine-level forced-dispatch checks. */
-constexpr uint32_t kQubitCounts[] = { 1, 63, 64, 65, 127, 128, 129, 256 };
+/**
+ * Qubit widths for the engine-level forced-dispatch checks. 320 is a
+ * five-word row half, past rowProduct's fixed-width walks: the lone
+ * path checks the batch walk's runtime-width fallback there.
+ */
+constexpr uint32_t kQubitCounts[] = { 1,   63,  64,  65, 127,
+                                      128, 129, 256, 320 };
 
 /** Every compiled-and-supported non-scalar kernel table. */
 std::vector<const simd::Kernels *>
@@ -352,68 +357,48 @@ TEST(SimdKernels, RowProductMatchesScalar)
         { 1, 1 }, { 2, 1 }, { 1, 2 }, { 3, 2 }, { 2, 3 },
         { 4, 4 }, { 3, 5 }, { 4, 8 }, { 2, 9 },
     };
-    for (const simd::Kernels *wide : tables) {
-        for (auto [words, rw] : shapes) {
-            const uint32_t rows = 64 * words;
-            // One logical snapshot, materialized per backend padding.
-            std::vector<std::vector<uint64_t>> row_x(rows), row_z(rows);
-            std::vector<uint8_t> y_count(rows);
-            for (uint32_t r = 0; r < rows; ++r) {
-                row_x[r] = randomWords(rw, rng);
-                row_z[r] = randomWords(rw, rng);
-                y_count[r] = static_cast<uint8_t>(rng.uniformInt(4));
-            }
-            const auto signs = randomWords(words, rng);
+    for (auto [words, rw] : shapes) {
+        const uint32_t rows = 64 * words;
+        // One snapshot, rows of [x half | z half], shared by every
+        // table.
+        const auto xz = randomWords(rows * 2 * rw, rng);
+        std::vector<uint8_t> y_count(rows);
+        for (uint8_t &y : y_count)
+            y = static_cast<uint8_t>(rng.uniformInt(4));
+        const auto signs = randomWords(words, rng);
 
-            const auto materialize = [&](const simd::Kernels &k) {
-                const uint32_t pad = k.padRowWords(rw);
-                std::vector<uint64_t> xz(
-                    static_cast<size_t>(rows) * 2 * pad, 0);
-                for (uint32_t r = 0; r < rows; ++r)
-                    for (uint32_t u = 0; u < rw; ++u) {
-                        xz[static_cast<size_t>(r) * 2 * pad + u] =
-                            row_x[r][u];
-                        xz[static_cast<size_t>(r) * 2 * pad + pad + u] =
-                            row_z[r][u];
-                    }
-                return xz;
-            };
-            const auto run = [&](const simd::Kernels &k,
-                                 const std::vector<uint64_t> &xz,
-                                 const std::vector<uint64_t> &mask,
-                                 const SupportIndex &idx,
-                                 std::vector<uint64_t> &ox,
-                                 std::vector<uint64_t> &oz) {
-                const uint32_t pad = k.padRowWords(rw);
-                std::vector<uint64_t> scratch(3 * static_cast<size_t>(pad),
-                                              0xDEADBEEFCAFEF00DULL);
-                simd::RowProductArgs a;
-                a.rowsXZ = xz.data();
-                a.stride = 2 * pad;
-                a.rwPad = pad;
-                a.rw = rw;
-                a.yCount = y_count.data();
-                a.signs = signs.data();
-                a.mask = mask.data();
-                a.maskIndex = &idx;
-                a.scratch = scratch.data();
-                a.outX = ox.data();
-                a.outZ = oz.data();
-                return k.rowProduct(a);
-            };
+        const auto run = [&](const simd::Kernels &k,
+                             const std::vector<uint64_t> &mask,
+                             const SupportIndex &idx,
+                             std::vector<uint64_t> &ox,
+                             std::vector<uint64_t> &oz) {
+            std::vector<uint64_t> scratch(3 * static_cast<size_t>(rw),
+                                          0xDEADBEEFCAFEF00DULL);
+            simd::RowProductArgs a;
+            a.rowsXZ = xz.data();
+            a.rw = rw;
+            a.yCount = y_count.data();
+            a.signs = signs.data();
+            a.mask = mask.data();
+            a.maskIndex = &idx;
+            a.scratch = scratch.data();
+            a.outX = ox.data();
+            a.outZ = oz.data();
+            return k.rowProduct(a);
+        };
 
-            const auto xz_sc = materialize(sc);
-            const auto xz_wide = materialize(*wide);
-            for (auto &mask : operandPatterns(words, rng)) {
-                SupportIndex idx;
-                for (uint32_t w = 0; w < words; ++w)
-                    if (mask[w] != 0)
-                        idx.markWord(w);
-                std::vector<uint64_t> oxa(rw), oza(rw), oxb(rw), ozb(rw);
-                const simd::RowProductResult ra =
-                    run(sc, xz_sc, mask, idx, oxa, oza);
+        for (auto &mask : operandPatterns(words, rng)) {
+            SupportIndex idx;
+            for (uint32_t w = 0; w < words; ++w)
+                if (mask[w] != 0)
+                    idx.markWord(w);
+            std::vector<uint64_t> oxa(rw), oza(rw);
+            const simd::RowProductResult ra =
+                run(sc, mask, idx, oxa, oza);
+            for (const simd::Kernels *wide : tables) {
+                std::vector<uint64_t> oxb(rw), ozb(rw);
                 const simd::RowProductResult rb =
-                    run(*wide, xz_wide, mask, idx, oxb, ozb);
+                    run(*wide, mask, idx, oxb, ozb);
                 EXPECT_EQ(oxa, oxb) << wide->name << " words=" << words
                                     << " rw=" << rw;
                 EXPECT_EQ(oza, ozb) << wide->name << " words=" << words
@@ -426,15 +411,6 @@ TEST(SimdKernels, RowProductMatchesScalar)
             }
         }
     }
-}
-
-TEST(SimdKernels, PadRowWordsContract)
-{
-    EXPECT_EQ(simd::scalarKernels().padRowWords(1), 1u);
-    EXPECT_EQ(simd::scalarKernels().padRowWords(7), 7u);
-    for (const simd::Kernels *wide : wideTables())
-        for (uint32_t rw = 1; rw <= 33; ++rw)
-            EXPECT_GE(wide->padRowWords(rw), rw) << wide->name;
 }
 
 TEST(SimdEndToEnd, ConjugationIdenticalAcrossLevels)
