@@ -20,13 +20,15 @@
  * block (the 30/2048/1 arg is LABS-shaped), the QasmImport and
  * CircuitToPauliProgram pairs measure the service front end against
  * the seed importer and the seed prepend-per-gate rewrite on the QASM
- * a served job sends, and TreeBeam times the portfolio's width-8 beam
- * search over one k-qubit support; the ...Batch variants
+ * a served job sends, TreeBeam times the portfolio's width-8 beam
+ * search over one k-qubit support, and ServeIngest times the --serve
+ * transport's read + parse + emit of serve-mix-sized job lines; the
+ * ...Batch variants
  * record the batched conjugation kernel against its scalar
  * counterpart. CI records them
  * as JSON via
  *   bench_micro \
- *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|ReferenceExtractor|Absorb|NoiseMc|NoiseExact|SimdPauli|DepthScheduling|Sabre|Level3|Qasm|CircuitToPauli|TreeBeam' \
+ *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|ReferenceExtractor|Absorb|NoiseMc|NoiseExact|SimdPauli|DepthScheduling|Sabre|Level3|Qasm|CircuitToPauli|TreeBeam|ServeIngest' \
  *     --benchmark_out=BENCH_tableau.json --benchmark_out_format=json
  */
 #include <benchmark/benchmark.h>
@@ -57,12 +59,21 @@
 #include "reference_sabre_router.hpp"
 #include "reference_tableau.hpp"
 #include "sim/noise_model.hpp"
+#include "service/server.hpp"
 #include "sim/statevector.hpp"
 #include "tableau/clifford_tableau.hpp"
 #include "transpile/depth_scheduling.hpp"
 #include "transpile/pass_manager.hpp"
 #include "util/rng.hpp"
+#include "util/json_writer.hpp"
 #include "util/simd_dispatch.hpp"
+
+#ifndef _WIN32
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <thread>
+#endif
 
 namespace {
 
@@ -373,6 +384,73 @@ BM_TreeBeam(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TreeBeam)->Arg(4)->Arg(12)->Arg(30)->Arg(70);
+
+#ifndef _WIN32
+/**
+ * The --serve ingest path: 200 copies of a ~26 KB job line (the
+ * serve-mix average) through serveFds() from a pipe fed by a writer
+ * thread. An unknown config key makes every line parse fully and then
+ * answer `invalid-job`, so this times read + parse + emit without
+ * compiling anything; bytes = job-line bytes.
+ */
+void
+BM_ServeIngest(benchmark::State &state)
+{
+    std::string qasm = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+                       "qreg q[4];\n";
+    while (qasm.size() < 24000)
+        qasm += "cx q[0],q[1];\nrz(0.125) q[1];\ncx q[0],q[1];\nh q[3];\n";
+    JsonValue job = JsonValue::object();
+    job["id"] = "ingest";
+    job["qasm"] = qasm;
+    JsonValue config = JsonValue::object();
+    config["no_such_key"] = 1;
+    job["config"] = config;
+    std::string line = job.dump(0);
+    while (!line.empty() && line.back() == '\n')
+        line.pop_back();
+    std::string batch;
+    for (int i = 0; i < 200; ++i)
+        batch += line + "\n";
+
+    const int sink = ::open("/dev/null", O_WRONLY | O_CLOEXEC);
+    if (sink < 0) {
+        state.SkipWithError("cannot open /dev/null");
+        return;
+    }
+    service::ServeOptions options;
+    options.workers = 1;
+    uint64_t jobs = 0;
+    for (auto _ : state) {
+        int in_pipe[2];
+        if (::pipe(in_pipe) != 0) {
+            state.SkipWithError("pipe failed");
+            break;
+        }
+        std::thread writer([&] {
+            size_t sent = 0;
+            while (sent < batch.size()) {
+                const ssize_t n = ::write(in_pipe[1], batch.data() + sent,
+                                          batch.size() - sent);
+                if (n <= 0)
+                    break;
+                sent += static_cast<size_t>(n);
+            }
+            ::close(in_pipe[1]);
+        });
+        jobs = service::serveFds(in_pipe[0], sink, options);
+        benchmark::DoNotOptimize(jobs);
+        writer.join();
+        ::close(in_pipe[0]);
+    }
+    ::close(sink);
+    if (jobs != 200)
+        state.SkipWithError("serveFds did not answer every line");
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(batch.size()));
+}
+BENCHMARK(BM_ServeIngest)->UseRealTime()->Unit(benchmark::kMillisecond);
+#endif
 
 void
 BM_CliffordExtraction(benchmark::State &state)

@@ -69,7 +69,12 @@ Hamiltonian::fromText(const std::string &text)
         std::string trailing;
         if (fields >> trailing)
             throw error("unexpected trailing token " + quoteInput(trailing));
-        h.addTerm(label, coefficient);
+        try {
+            h.addTerm(label, coefficient);
+        } catch (const std::invalid_argument &e) {
+            throw error("Pauli label " + quoteInput(label) + ": " +
+                        e.what());
+        }
     }
     if (h.terms_.empty())
         throw std::invalid_argument("Hamiltonian text has no terms");

@@ -51,8 +51,9 @@ class Hamiltonian
      *    0.3979  IIIZ
      * @throws std::invalid_argument on a malformed line, naming its
      *   line number: a coefficient that is not a finite number, a
-     *   missing label or a trailing token. Only a line that is empty
-     *   after its '#' comment is skipped.
+     *   missing or invalid label, a label whose width differs from
+     *   the earlier terms', or a trailing token. Only a line that is
+     *   empty after its '#' comment is skipped.
      */
     static Hamiltonian fromText(const std::string &text);
 

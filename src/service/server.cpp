@@ -14,6 +14,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -144,11 +145,16 @@ serveStream(std::istream &in, std::ostream &out,
 
 namespace {
 
-/** Bidirectional std::streambuf over one socket fd. */
+/**
+ * std::streambuf over a raw input fd and a raw output fd (the same
+ * socket for a TCP connection, stdin/stdout for --serve). The get and
+ * put areas are disjoint, so one thread may read while another writes.
+ */
 class FdStreamBuf : public std::streambuf
 {
   public:
-    explicit FdStreamBuf(int fd) : fd_(fd)
+    FdStreamBuf(int in_fd, int out_fd)
+        : inFd_(in_fd), outFd_(out_fd), outIsSocket_(isSocket(out_fd))
     {
         setg(inBuf_, inBuf_, inBuf_);
         setp(outBuf_, outBuf_ + sizeof outBuf_);
@@ -161,7 +167,7 @@ class FdStreamBuf : public std::streambuf
             return traits_type::to_int_type(*gptr());
         ssize_t n;
         do {
-            n = ::read(fd_, inBuf_, sizeof inBuf_);
+            n = ::read(inFd_, inBuf_, sizeof inBuf_);
         } while (n < 0 && errno == EINTR);
         if (n <= 0)
             return traits_type::eof();
@@ -183,15 +189,23 @@ class FdStreamBuf : public std::streambuf
     int sync() override { return flushOut(); }
 
   private:
+    static bool isSocket(int fd)
+    {
+        struct stat st{};
+        return ::fstat(fd, &st) == 0 && S_ISSOCK(st.st_mode);
+    }
+
     int flushOut()
     {
         const char *data = pbase();
         size_t remaining = static_cast<size_t>(pptr() - pbase());
         while (remaining > 0) {
-            // MSG_NOSIGNAL: a client that hangs up must surface as a
-            // stream error, not a process-killing SIGPIPE.
+            // A client socket that hangs up must surface as a stream
+            // error (MSG_NOSIGNAL), not a process-killing SIGPIPE; a
+            // closed stdout pipe raises SIGPIPE as stdio would.
             const ssize_t n =
-                ::send(fd_, data, remaining, MSG_NOSIGNAL);
+                outIsSocket_ ? ::send(outFd_, data, remaining, MSG_NOSIGNAL)
+                             : ::write(outFd_, data, remaining);
             if (n < 0) {
                 if (errno == EINTR)
                     continue;
@@ -204,12 +218,29 @@ class FdStreamBuf : public std::streambuf
         return 0;
     }
 
-    int fd_;
+    const int inFd_;
+    const int outFd_;
+    const bool outIsSocket_;
     char inBuf_[1 << 16];
     char outBuf_[1 << 16];
 };
 
 } // namespace
+
+uint64_t
+serveFds(int in_fd, int out_fd, const ServeOptions &options)
+{
+    FdStreamBuf buf(in_fd, out_fd);
+    // Distinct stream objects over the shared buffer: getline() hitting
+    // EOF sets failbit on the input stream, and that must not poison
+    // the output side, since results drain after EOF. The input stream
+    // is untied, so the reader never flushes while a worker emits.
+    std::istream in(&buf);
+    std::ostream out(&buf);
+    const uint64_t jobs = serveStream(in, out, options);
+    out.flush();
+    return jobs;
+}
 
 int
 serveTcp(uint16_t port, const ServeOptions &options,
@@ -261,14 +292,7 @@ serveTcp(uint16_t port, const ServeOptions &options,
             ::close(listen_fd);
             return kExitRuntime;
         }
-        FdStreamBuf buf(conn_fd);
-        // Distinct stream objects over the shared buffer: getline()
-        // hitting EOF sets failbit on the input stream, and that must
-        // not poison the output side — results drain after EOF.
-        std::istream conn_in(&buf);
-        std::ostream conn_out(&buf);
-        const uint64_t jobs = serveStream(conn_in, conn_out, options);
-        conn_out.flush();
+        const uint64_t jobs = serveFds(conn_fd, conn_fd, options);
         ::close(conn_fd);
         ++served;
         std::fprintf(stderr,

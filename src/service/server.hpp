@@ -2,13 +2,14 @@
  * @file
  * Long-lived serve loops for `quclear_cli --serve` (docs/SERVICE.md).
  *
- * Two transports, one protocol: serveStream() reads JSONL jobs from an
- * input stream until EOF and writes one result line per job in
- * submission order; serveTcp() accepts loopback TCP connections and
- * runs the same loop over each connection's socket. Malformed input
- * never terminates the server — every job line is answered in-band,
- * and only transport-level failures (a dead socket, an unreadable
- * stdin) end a loop.
+ * One protocol over one fd transport: serveStream() reads JSONL jobs
+ * from an input stream until EOF and writes one result line per job in
+ * submission order; serveFds() runs that loop over raw file
+ * descriptors (stdin/stdout for --serve), and serveTcp() accepts
+ * loopback TCP connections and runs serveFds() over each socket.
+ * Malformed input never terminates the server — every job line is
+ * answered in-band, and only transport-level failures (a dead socket,
+ * an unreadable stdin) end a loop.
  */
 #ifndef QUCLEAR_SERVICE_SERVER_HPP
 #define QUCLEAR_SERVICE_SERVER_HPP
@@ -55,6 +56,19 @@ struct ServeOptions
  */
 uint64_t serveStream(std::istream &in, std::ostream &out,
                      const ServeOptions &options);
+
+#ifndef _WIN32
+/**
+ * serveStream() over raw file descriptors through one unsynchronised
+ * buffer: 64 KiB read() calls on @p in_fd, buffered writes to
+ * @p out_fd, flushed once per emitted batch and at the end. Writes use
+ * send(MSG_NOSIGNAL) when @p out_fd is a socket (a hung-up client is a
+ * stream error) and write() otherwise (a closed pipe raises SIGPIPE,
+ * as stdio does). Neither fd is closed.
+ * @return number of result lines emitted
+ */
+uint64_t serveFds(int in_fd, int out_fd, const ServeOptions &options);
+#endif
 
 /**
  * Serve the same protocol over TCP on 127.0.0.1:@p port (0 = pick an

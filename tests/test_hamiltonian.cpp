@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <complex>
+#include <stdexcept>
+#include <string>
 
 #include "core/measurement_plan.hpp"
 #include "core/quclear.hpp"
@@ -88,6 +90,41 @@ TEST(HamiltonianTest, ParserRejectsNonFiniteOrMalformedCoefficients)
     ASSERT_EQ(h.size(), 2u);
     EXPECT_DOUBLE_EQ(h.terms()[0].coefficient, 0.25);
     EXPECT_DOUBLE_EQ(h.terms()[1].coefficient, -10.0);
+}
+
+TEST(HamiltonianTest, ParserLabelErrorsNameTheLine)
+{
+    // Errors raised while building a term from its label name the line
+    // and quote the label, like the coefficient errors above.
+    const auto message = [](const std::string &text) -> std::string {
+        try {
+            Hamiltonian::fromText(text);
+        } catch (const std::invalid_argument &e) {
+            return e.what();
+        }
+        ADD_FAILURE() << "accepted " << text;
+        return "";
+    };
+    const std::string bad_char = message("1.0 ZZ\n0.5 ZQ\n");
+    EXPECT_EQ(bad_char.rfind("Hamiltonian line 2: ", 0), 0u) << bad_char;
+    EXPECT_NE(bad_char.find("'ZQ'"), std::string::npos) << bad_char;
+    EXPECT_NE(bad_char.find("invalid Pauli character 'Q'"),
+              std::string::npos)
+        << bad_char;
+
+    const std::string width = message("1.0 ZZ\n1.0 ZZZ\n");
+    EXPECT_EQ(width.rfind("Hamiltonian line 2: ", 0), 0u) << width;
+    EXPECT_NE(width.find("'ZZZ'"), std::string::npos) << width;
+
+    // A long bad label is quoted through the 64-byte cap.
+    const std::string long_label(100000, 'Q');
+    const std::string long_error = message("0.5 " + long_label + "\n");
+    EXPECT_EQ(long_error.rfind("Hamiltonian line 1: ", 0), 0u)
+        << long_error;
+    EXPECT_LT(long_error.size(), 200u) << long_error;
+    EXPECT_NE(long_error.find("'" + std::string(64, 'Q') + "...'"),
+              std::string::npos)
+        << long_error;
 }
 
 TEST(HamiltonianTest, ParserErrorsQuoteAtMost64Bytes)

@@ -5,7 +5,8 @@
  * bounded scheduler's queue-full/timeout/ordering semantics, the serve
  * loop's resilience to malformed input, the determinism contract
  * (concurrent results bit-identical to sequential one-shot compiles),
- * and the loopback TCP transport.
+ * and the raw-fd transport over a loopback TCP socket, pipes and a
+ * regular file.
  */
 #include <gtest/gtest.h>
 
@@ -13,8 +14,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <future>
+#include <regex>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -851,6 +854,132 @@ TEST(ServeTcp, OneConnectionRoundTrip)
     EXPECT_EQ(ok.find("status")->asString(), "ok");
     EXPECT_EQ(ok.find("id")->asString(), "tcp");
     EXPECT_EQ(errorCodeOf(parseResult(lines[1])), "invalid-json");
+}
+
+// --------------------------------------------------------------------
+// Raw-fd transport (the --serve stdin/stdout path)
+// --------------------------------------------------------------------
+
+/** Result text with every wall-clock "seconds" value zeroed. */
+std::string
+maskSeconds(const std::string &text)
+{
+    static const std::regex seconds("\"seconds\":[-+0-9.eE]+");
+    return std::regex_replace(text, seconds, "\"seconds\":0");
+}
+
+/**
+ * A batch for the fd transport: a compiling job line longer than the
+ * 64 KiB read buffer (so it spans reads), a CRLF line, blank lines, a
+ * non-JSON line and an unknown config key among ordinary jobs.
+ */
+std::string
+fdTransportBatch()
+{
+    std::string long_qasm = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+                            "qreg q[3];\nh q[0];\n";
+    while (long_qasm.size() < (80u << 10))
+        long_qasm += "cx q[0],q[1];\nrz(0.125) q[1];\ncx q[0],q[1];\n"
+                     "h q[2];\n";
+    JsonValue long_job = JsonValue::object();
+    long_job["id"] = "long";
+    long_job["qasm"] = long_qasm;
+    std::string long_line = long_job.dump(0);
+    while (!long_line.empty() && long_line.back() == '\n')
+        long_line.pop_back();
+    EXPECT_GT(long_line.size(), size_t{ 1 } << 16);
+
+    return smokeJobLine("first") + "\n" + long_line + "\n" +
+           smokeJobLine("crlf", R"({"threads":2})") + "\r\n" + "\n" +
+           "   \n" + "not json at all\n" +
+           smokeJobLine("bad-knob", R"({"frobnicate":1})") + "\n" +
+           R"json({"id":"bench","benchmark":"LABS-(n10)"})json" + "\n";
+}
+
+/** Bytes of @p fd from its current offset to EOF. */
+std::string
+readAll(int fd)
+{
+    std::string text;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::read(fd, buf, sizeof buf)) > 0)
+        text.append(buf, static_cast<size_t>(n));
+    return text;
+}
+
+/**
+ * serveFds() over a pipe fed by a writer thread, writing results to
+ * @p out_fd; returns the number of jobs served.
+ */
+uint64_t
+serveFromPipe(const std::string &batch, int out_fd, uint32_t workers)
+{
+    int in_pipe[2];
+    if (::pipe(in_pipe) != 0) {
+        ADD_FAILURE() << "pipe failed";
+        return 0;
+    }
+    std::thread writer([&] {
+        size_t sent = 0;
+        while (sent < batch.size()) {
+            const ssize_t n =
+                ::write(in_pipe[1], batch.data() + sent, batch.size() - sent);
+            if (n <= 0)
+                break;
+            sent += static_cast<size_t>(n);
+        }
+        ::close(in_pipe[1]);
+    });
+    ServeOptions options;
+    options.workers = workers;
+    const uint64_t jobs = serveFds(in_pipe[0], out_fd, options);
+    writer.join();
+    ::close(in_pipe[0]);
+    return jobs;
+}
+
+TEST(ServeFds, PipeAndFileOutputMatchStringStreams)
+{
+    const std::string batch = fdTransportBatch();
+    for (const uint32_t workers : { 1u, 4u }) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        ServeOptions options;
+        options.workers = workers;
+        std::istringstream ref_in(batch);
+        std::ostringstream ref_out;
+        const uint64_t ref_jobs = serveStream(ref_in, ref_out, options);
+        EXPECT_EQ(ref_jobs, 6u); // blank lines carry no sequence number
+        const std::string expected = maskSeconds(ref_out.str());
+        const auto lines = splitLines(ref_out.str());
+        ASSERT_EQ(lines.size(), 6u);
+        EXPECT_EQ(parseResult(lines[1]).find("id")->asString(), "long");
+        EXPECT_EQ(parseResult(lines[1]).find("status")->asString(), "ok");
+        EXPECT_EQ(parseResult(lines[2]).find("id")->asString(), "crlf");
+        EXPECT_EQ(parseResult(lines[2]).find("status")->asString(), "ok");
+        EXPECT_EQ(errorCodeOf(parseResult(lines[3])), "invalid-json");
+        EXPECT_EQ(errorCodeOf(parseResult(lines[4])), "invalid-job");
+
+        // Results into a second pipe, drained by a reader thread.
+        int out_pipe[2];
+        ASSERT_EQ(::pipe(out_pipe), 0);
+        std::string piped;
+        std::thread reader([&] { piped = readAll(out_pipe[0]); });
+        EXPECT_EQ(serveFromPipe(batch, out_pipe[1], workers), ref_jobs);
+        ::close(out_pipe[1]);
+        reader.join();
+        ::close(out_pipe[0]);
+        EXPECT_EQ(maskSeconds(piped), expected);
+
+        // Results into a regular file (the write() path, no socket).
+        std::FILE *file = std::tmpfile();
+        ASSERT_NE(file, nullptr);
+        const int file_fd = ::fileno(file);
+        EXPECT_EQ(serveFromPipe(batch, file_fd, workers), ref_jobs);
+        ASSERT_EQ(::lseek(file_fd, 0, SEEK_SET), 0);
+        EXPECT_EQ(maskSeconds(readAll(file_fd)), expected);
+        std::fclose(file);
+    }
 }
 
 #endif // !_WIN32

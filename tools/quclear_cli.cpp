@@ -45,6 +45,10 @@
 #include "util/timer.hpp"
 #include "verify/equivalence.hpp"
 
+#ifndef _WIN32
+#include <unistd.h>
+#endif
+
 namespace {
 
 using namespace quclear;
@@ -427,8 +431,13 @@ main(int argc, char **argv)
         serve_options.maxQueue = max_queue;
         if (listen)
             return service::serveTcp(listen_port, serve_options);
+#ifdef _WIN32
         const uint64_t jobs =
             service::serveStream(std::cin, std::cout, serve_options);
+#else
+        const uint64_t jobs = service::serveFds(STDIN_FILENO, STDOUT_FILENO,
+                                                serve_options);
+#endif
         std::fprintf(stderr, "quclear_cli: served %llu job(s)\n",
                      static_cast<unsigned long long>(jobs));
         return kExitOk;
